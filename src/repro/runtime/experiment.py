@@ -16,7 +16,7 @@ context dict threaded through the hooks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster import Cluster
 from repro.config import SystemConfig, default_config
@@ -119,6 +119,21 @@ class Experiment:
         merged.update(params or {})
         return merged
 
+    def point_config_fingerprint(self, params: Dict[str, Any],
+                                 config: Optional[SystemConfig] = None) -> str:
+        """The ``config_fingerprint`` :meth:`execute` stamps on the record
+        of the point with resolved ``params`` over base ``config`` -- and
+        so the fingerprint its cache entry is keyed under."""
+        return self._point_config(params, config)[1]
+
+    def _point_config(self, params: Dict[str, Any],
+                      config: Optional[SystemConfig]
+                      ) -> Tuple[SystemConfig, str]:
+        """The configured config of one point and its fingerprint: the
+        one place a record's cache identity is derived."""
+        cfg = self.configure(params, config or default_config())
+        return cfg, config_fingerprint(cfg)
+
     def execute(self, params: Optional[Dict[str, Any]] = None,
                 config: Optional[SystemConfig] = None,
                 trace: Optional[bool] = None, *,
@@ -143,10 +158,11 @@ class Experiment:
         """
         obs = Observers.coerce(observers)
         p = self.resolve_params(params)
-        cfg = self.configure(p, config or default_config())
+        cfg, cfg_fp = self._point_config(p, config)
         do_trace = self.trace_default(p) if trace is None else trace
         if checkpoint is not None:
-            return self._execute_checkpointed(p, cfg, do_trace, obs, checkpoint)
+            return self._execute_checkpointed(p, cfg, cfg_fp, do_trace, obs,
+                                              checkpoint)
         cluster = self.build_cluster(p, cfg, do_trace)
         registry = obs.arm(cluster) if obs is not None else None
         ctx = self.setup(cluster, p)
@@ -159,7 +175,7 @@ class Experiment:
         record = RunRecord(
             experiment=self.name,
             params=p,
-            config_fingerprint=config_fingerprint(cfg),
+            config_fingerprint=cfg_fp,
             metrics=metrics_out,
             hazards=cluster.total_hazards(),
             spans=_span_rows(cluster.tracer) if do_trace else (),
@@ -169,8 +185,8 @@ class Experiment:
         return Execution(record=record, raw=raw, cluster=cluster)
 
     def _execute_checkpointed(self, p: Dict[str, Any], cfg: SystemConfig,
-                              do_trace: bool, obs: Optional[Any],
-                              ck: Any) -> Execution:
+                              cfg_fp: str, do_trace: bool,
+                              obs: Optional[Any], ck: Any) -> Execution:
         """The checkpoint-armed run loop.
 
         Drives the simulation in grid-aligned chunks of ``ck.interval_ns``
@@ -188,7 +204,6 @@ class Experiment:
             raise ckpt.CheckpointError(
                 f"experiment {self.name!r} overrides drive(); periodic "
                 "checkpointing requires the default drain-the-heap drive")
-        cfg_fp = config_fingerprint(cfg)
         own_fp = ckpt.point_fingerprint(self.name, p, cfg_fp)
         prefix_fp: Optional[str] = None
         divergence_ns: Optional[int] = None

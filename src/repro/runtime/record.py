@@ -51,14 +51,37 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+#: Field names of every dataclass type :func:`config_fingerprint` walked.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def _config_tree(value: Any) -> Any:
+    """``json_safe(dataclasses.asdict(value))`` in one walk, without the
+    deep copies that make ``asdict`` the bulk of a fingerprint's cost."""
+    if isinstance(value, _SCALARS):
+        return value
+    names = _FIELD_NAMES.get(type(value))
+    if (names is None and dataclasses.is_dataclass(value)
+            and not isinstance(value, type)):
+        names = _FIELD_NAMES[type(value)] = tuple(
+            f.name for f in dataclasses.fields(value))
+    if names is not None:
+        return {name: _config_tree(getattr(value, name)) for name in names}
+    if isinstance(value, (list, tuple)):
+        return [_config_tree(v) for v in value]
+    if isinstance(value, Mapping):
+        return {str(k): _config_tree(v) for k, v in value.items()}
+    return json_safe(value)
+
+
 def config_fingerprint(config: Any) -> str:
     """Stable digest of a :class:`~repro.config.SystemConfig` (or any
     dataclass tree of scalars)."""
     if dataclasses.is_dataclass(config) and not isinstance(config, type):
-        payload = dataclasses.asdict(config)
+        payload = _config_tree(config)
     else:
-        payload = config
-    digest = hashlib.sha256(canonical_json(json_safe(payload)).encode())
+        payload = json_safe(config)
+    digest = hashlib.sha256(canonical_json(payload).encode())
     return digest.hexdigest()[:16]
 
 

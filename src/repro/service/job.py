@@ -143,8 +143,7 @@ class Job:
                 directory=str(store.checkpoint_dir(spec.job_id())),
                 interval_ns=checkpoint)
         state = SweepState(experiment=sweep.experiment, config=config,
-                           config_fp=spec.config_fingerprint, cache=cache,
-                           checkpoint=checkpoint)
+                           cache=cache, checkpoint=checkpoint)
         return cls(spec, store=store, state=state, priority=priority)
 
     @classmethod

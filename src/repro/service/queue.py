@@ -68,6 +68,13 @@ ShouldStop = Callable[[], bool]
 #: before the job fails with a poison-point error.
 MAX_POINT_ATTEMPTS = 3
 
+#: How often (seconds) the local-result drainer wakes while no item
+#: arrives.  Teardown never waits for it: every local worker's final
+#: ``"bye"`` item stops the drainer, and the period only bounds the wait
+#: when a worker died without saying goodbye (killed, or wedged and
+#: terminated).
+DRAIN_POLL_S = 0.2
+
 
 # ------------------------------------------------------------------ priorities
 class PriorityGate:
@@ -248,22 +255,31 @@ class WorkQueue:
         mp_results: multiprocessing.Queue = multiprocessing.Queue()
         stop_drain = threading.Event()
 
-        def _drain() -> None:
-            while not stop_drain.is_set():
-                try:
-                    results.put(mp_results.get(timeout=0.2))
-                except _queue.Empty:
-                    continue
-
-        drainer = threading.Thread(target=_drain, daemon=True,
-                                   name="workqueue-drain")
-        drainer.start()
-
         for _ in range(min(self.jobs, len(pending))):
             wid = next(alloc_wid)
             endpoints[wid] = _LocalWorker(wid, self.runner_name, self.payload,
                                           mp_results)
             free.append(wid)
+
+        def _drain(waiting: set) -> None:
+            # Runs until every local worker has said "bye"; once the
+            # workers are reaped (stop_drain), an idle poll means the
+            # rest died silently and nothing is left to forward.
+            while waiting:
+                try:
+                    item = mp_results.get(timeout=DRAIN_POLL_S)
+                except _queue.Empty:
+                    if stop_drain.is_set():
+                        return
+                    continue
+                if item[0] == "bye":
+                    waiting.discard(item[1])
+                else:
+                    results.put(item)
+
+        drainer = threading.Thread(target=_drain, args=(set(endpoints),),
+                                   daemon=True, name="workqueue-drain")
+        drainer.start()
 
         def bury(wid: int) -> None:
             """Remove a dead endpoint; requeue its in-flight point."""
@@ -364,13 +380,13 @@ class WorkQueue:
                 elif kind == "dead":
                     bury(wid)
         finally:
-            stop_drain.set()
             # Local workers are ours to reap; remote endpoints belong to
             # the dispatcher (the Job closes it -- possibly with
             # final=False on preemption so workers reconnect on resume).
             for ep in list(endpoints.values()):
                 if ep.kind == "local":
                     ep.shutdown()
+            stop_drain.set()
             drainer.join(timeout=2.0)
             mp_results.cancel_join_thread()
             mp_results.close()

@@ -34,7 +34,7 @@ from repro.checkpoint import CheckpointConfig, CheckpointError
 from repro.config import SystemConfig
 from repro.runtime.cache import ResultCache
 from repro.runtime.experiment import Experiment
-from repro.runtime.record import RunRecord, config_fingerprint
+from repro.runtime.record import RunRecord
 
 __all__ = ["BenchRunner", "SweepRunner", "get_runner", "register_runner"]
 
@@ -46,7 +46,6 @@ class SweepState:
 
     experiment: Experiment
     config: SystemConfig
-    config_fp: str
     cache: Optional[ResultCache]
     #: Periodic-checkpoint policy for every point, or ``None`` (off).
     checkpoint: Optional[CheckpointConfig] = None
@@ -75,19 +74,24 @@ class SweepRunner:
         # Payloads journaled before checkpointing existed are 3-tuples.
         checkpoint = doc[3] if len(doc) > 3 else None
         cache = ResultCache(cache_root) if cache_root is not None else None
-        return SweepState(experiment=experiment, config=config,
-                          config_fp=config_fingerprint(config), cache=cache,
+        return SweepState(experiment=experiment, config=config, cache=cache,
                           checkpoint=checkpoint)
 
     @staticmethod
     def lookup(state: SweepState, point: Dict[str, Any]) -> Optional[RunRecord]:
         """Parent-side cache probe (counts hits/misses on the caller's
-        cache object, exactly like the pre-service ``Sweep.run``)."""
+        cache object, exactly like the pre-service ``Sweep.run``).
+
+        Keyed by the point's *configured* config, exactly as the record
+        a run would put: experiments whose ``configure`` rewrites the
+        config (a non-star topology, a fuzz case's knobs) hit too."""
         if state.cache is None:
             return None
-        return state.cache.get(state.experiment.name,
-                               state.experiment.resolve_params(point),
-                               state.config_fp)
+        experiment = state.experiment
+        params = experiment.resolve_params(point)
+        return state.cache.get(
+            experiment.name, params,
+            experiment.point_config_fingerprint(params, state.config))
 
     @staticmethod
     def run(state: SweepState, index: int,
@@ -191,22 +195,27 @@ def _worker_main(wid: int, runner_name: str, payload: bytes,
     item shape: ``("done", wid, (index, record, source))`` or
     ``("err", wid, (index_or_None, exc))`` -- ``index=None`` marks an
     init failure, which is fatal for the job (the payload is broken for
-    every worker, not just this one).
+    every worker, not just this one).  The last item a worker posts on
+    its way out is ``("bye", wid, None)``: it tells the parent's drainer
+    that nothing more will come from this worker.
     """
     try:
-        runner = get_runner(runner_name)
-        state = runner.init(payload)
-    except BaseException as exc:  # noqa: BLE001 - must cross the pipe
-        results.put(("err", wid, (None, _portable_error(exc))))
-        return
-    while True:
-        task = tasks.get()
-        if task is None:
-            return
-        index, point = task
         try:
-            record, source = runner.run(state, index, point)
-        except Exception as exc:
-            results.put(("err", wid, (index, _portable_error(exc))))
-        else:
-            results.put(("done", wid, (index, record, source)))
+            runner = get_runner(runner_name)
+            state = runner.init(payload)
+        except BaseException as exc:  # noqa: BLE001 - must cross the pipe
+            results.put(("err", wid, (None, _portable_error(exc))))
+            return
+        while True:
+            task = tasks.get()
+            if task is None:
+                return
+            index, point = task
+            try:
+                record, source = runner.run(state, index, point)
+            except Exception as exc:
+                results.put(("err", wid, (index, _portable_error(exc))))
+            else:
+                results.put(("done", wid, (index, record, source)))
+    finally:
+        results.put(("bye", wid, None))

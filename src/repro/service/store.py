@@ -180,8 +180,10 @@ class JobStore:
     def append_point(self, job_id: str, index: int, record: RunRecord) -> None:
         """Journal one completed point (flush + fsync: a kill after this
         returns can never lose the completion)."""
-        line = canonical_json({"index": index,
-                               "record": json.loads(record.to_json())})
+        # Spliced, not re-serialized: to_json() is already canonical, and
+        # "index" sorts before "record", so this is the canonical_json of
+        # {"index": index, "record": <record doc>} byte for byte.
+        line = '{"index":%d,"record":%s}' % (index, record.to_json())
         path = self._journal_path(job_id)
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "a", encoding="utf-8") as fh:

@@ -11,6 +11,7 @@ import pytest
 from repro.apps.congestion import (CongestionExperiment, _queue_config,
                                    _reliability_config,
                                    run_congestion_campaign)
+from repro.runtime import ResultCache
 
 FAST = {"messages": 4, "bg_horizon_ns": 20_000}
 
@@ -91,6 +92,22 @@ class TestCampaign:
     def test_empty_axes_rejected(self):
         with pytest.raises(ValueError, match="empty campaign"):
             run_congestion_campaign(loads=[])
+
+    def test_resubmit_hits_cache(self, tmp_path):
+        """Every point sits on a fat tree configure() wrote in, yet a
+        resubmission (fresh store, same cache root) runs none of them."""
+        runs = [run_congestion_campaign(
+                    loads=[0.5], disciplines=["drop-tail"],
+                    transports=["selective-repeat"],
+                    strategies=["gds", "gputn"],
+                    cache=ResultCache(str(tmp_path / "cache")),
+                    store=str(tmp_path / f"store{i}"), **FAST)
+                for i in range(2)]
+        first, second = runs
+        assert first.cache_stats["hits"] == 0
+        assert second.cache_stats["hits"] == second.total == 2
+        assert [r.to_json() for r in first.records] == \
+               [r.to_json() for r in second.records]
 
 
 class TestCli:

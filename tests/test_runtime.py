@@ -56,6 +56,40 @@ class TestConfigFingerprint:
         tweaked = base.with_(network=base.network.__class__(bandwidth_gbps=200))
         assert config_fingerprint(tweaked) != config_fingerprint(base)
 
+    def test_equals_asdict_digest(self):
+        """The one-pass walk hashes exactly what json_safe(asdict(...))
+        hashed, so every fingerprint (and cache key) is unchanged."""
+        import dataclasses
+        import hashlib
+
+        import numpy as np
+
+        from repro.config import FaultConfig, LinkFlap, NicStall
+        from repro.presets import discrete_gpu_config
+        from repro.runtime.record import canonical_json
+
+        def asdict_digest(config):
+            payload = canonical_json(json_safe(dataclasses.asdict(config)))
+            return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+        base = default_config()
+        net = base.network
+        configs = [
+            base, discrete_gpu_config(),
+            base.with_(network=dataclasses.replace(net, topology="fat-tree")),
+            base.with_(network=dataclasses.replace(net, bandwidth_gbps=200)),
+            base.with_(network=dataclasses.replace(net,
+                                                   bandwidth_gbps=200.0)),
+            base.with_(network=dataclasses.replace(
+                net, bandwidth_gbps=np.float64(150.5))),
+            FaultConfig(drop_prob=0.25, link_drop=(("n0->n1", 0.5),),
+                        flaps=(LinkFlap("n1", 10, 20),),
+                        stalls=(NicStall("n0", 5, 9),)),
+        ]
+        for config in configs:
+            assert config_fingerprint(config) == asdict_digest(config)
+        assert config_fingerprint(configs[3]) != config_fingerprint(configs[4])
+
 
 class TestExperimentLifecycle:
     def test_execute_returns_record_raw_cluster(self):

@@ -7,18 +7,30 @@ a completed point, and records coming out of the service path are
 byte-identical to a plain serial sweep.
 """
 
+import importlib
+import json
 import os
+import pkgutil
 import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.collectives import AllreduceExperiment
+from repro.config import default_config
 from repro.runtime import Sweep
-from repro.runtime.record import RunRecord
+from repro.runtime.experiment import Experiment
+from repro.runtime.record import (RunRecord, canonical_json,
+                                  config_fingerprint, make_cache_key)
 from repro.service import Job, JobPreempted, JobSpec, JobStore
+from repro.service import queue as queue_mod
+from repro.service.runners import SweepRunner, SweepState
+from repro.version import __version__
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 HELPER = str(Path(__file__).resolve().parent / "_service_workload.py")
@@ -106,6 +118,31 @@ class TestJobStore:
         done = store.completed(job_id)
         assert sorted(done) == [0, 3]
         assert done[3].metrics == {"value": 30}
+
+    def test_journal_line_matches_canonical_form(self, tmp_path):
+        """The spliced journal line equals the canonical_json of the
+        parsed record, byte for byte, on a record with every optional
+        section populated."""
+        record = RunRecord(
+            experiment="svc", params={"n": 4, "topology": "fat-tree:k=4"},
+            config_fingerprint="cafebabe00000000",
+            metrics={"total_ns": 1234, "ratio": 0.1 + 0.2, "ok": True,
+                     "label": "caf\u00e9", "none": None},
+            hazards=2,
+            spans=(("node0", "gpu", "kernel", 0, 10),
+                   ("node1", "nic", "put", 5, 25)),
+            transport={"retransmits": 3, "timeouts": 1},
+            telemetry={"counters": {"nic.post": 7},
+                       "histograms": {"lat": [1.5, 2.25]}})
+        store = JobStore(tmp_path)
+        job_id = store.create(_spec())
+        for index in (0, 17, 123456):
+            store.append_point(job_id, index, record)
+        lines = (tmp_path / job_id / "journal.jsonl").read_text().splitlines()
+        assert lines == [canonical_json({"index": index,
+                                         "record": json.loads(record.to_json())})
+                         for index in (0, 17, 123456)]
+        assert store.completed(job_id)[17].to_json() == record.to_json()
 
     def test_meta_merges(self, tmp_path):
         store = JobStore(tmp_path)
@@ -299,3 +336,80 @@ class TestCheckpointKillResume:
         resumed = Job.load(store, job_id)
         assert resumed.status()["status"] == "done"
         assert resumed.status()["checkpoints"] == 0
+
+
+class _KeyProbe:
+    """A cache stand-in that records the key of every probe and misses."""
+
+    root = None
+
+    def __init__(self) -> None:
+        self.keys = []
+
+    def get(self, experiment, params, config_fp, code_version=__version__):
+        self.keys.append(make_cache_key(experiment, params, config_fp,
+                                        code_version))
+        return None
+
+
+def _configure_overrides():
+    """Names of every repro experiment whose configure() is overridden."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name != "repro.__main__":
+            importlib.import_module(info.name)
+    seen, todo = set(), [Experiment]
+    while todo:
+        cls = todo.pop()
+        for sub in cls.__subclasses__():
+            todo.append(sub)
+            if (sub.__module__.startswith("repro.")
+                    and sub.configure is not Experiment.configure):
+                seen.add(sub)
+    return {cls.name: cls for cls in seen}
+
+
+class TestCacheKeys:
+    """The parent-side cache probe uses the key a run's record is put
+    under, for every experiment that rewrites its config per point."""
+
+    #: One cheap config-rewriting point per configure() override.
+    POINTS = {
+        "collective-zoo": {"topology": "fat-tree", "schedule": "alltoall",
+                           "strategy": "gds", "n_nodes": 4, "nbytes": 4096},
+        "congestion": {"messages": 2, "bg_horizon_ns": 10_000},
+        "validate": {"workload": "microbench", "seed": 3},
+    }
+
+    def test_every_override_is_covered(self):
+        assert set(_configure_overrides()) == set(self.POINTS)
+
+    @pytest.mark.parametrize("name", sorted(POINTS))
+    def test_lookup_key_equals_record_cache_key(self, name):
+        experiment = _configure_overrides()[name]()
+        point = self.POINTS[name]
+        probe = _KeyProbe()
+        state = SweepState(experiment=experiment, config=default_config(),
+                           cache=probe)
+        assert SweepRunner.lookup(state, point) is None
+        record = experiment.execute(point, default_config()).record
+        assert record.config_fingerprint != \
+            config_fingerprint(default_config())
+        assert probe.keys == [record.cache_key()]
+
+
+class TestDispatchTeardown:
+    def test_return_does_not_wait_for_drain_poll(self, monkeypatch):
+        """Every local worker's "bye" stops the drainer, so a dispatched
+        job returns long before one drainer poll period could expire."""
+        monkeypatch.setattr(queue_mod, "DRAIN_POLL_S", 30.0)
+        before = set(threading.enumerate())
+        job = Job.from_sweep(Sweep(AllreduceExperiment(),
+                                   grid={"strategy": ["cpu", "gputn"]},
+                                   base={"n_nodes": 2, "nbytes": 4096}))
+        start = time.monotonic()
+        records = job.run(jobs=2)
+        elapsed = time.monotonic() - start
+        assert job.queue_stats["local"] == 2 and None not in records
+        assert elapsed < queue_mod.DRAIN_POLL_S / 2
+        assert not [t for t in threading.enumerate()
+                    if t.name == "workqueue-drain" and t not in before]

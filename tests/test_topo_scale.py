@@ -84,3 +84,20 @@ class TestCampaignCaching:
         assert second.cache_stats["hits"] == second.total
         assert [r.metrics for r in first.records] == \
                [r.metrics for r in second.records]
+
+    @pytest.mark.parametrize("topology", ["fat-tree", "dragonfly"])
+    def test_resubmit_hits_cache_off_star(self, tmp_path, topology):
+        """configure() rewrites the config off-star; the cache probe keys
+        on that configured config, so a resubmission (fresh store, same
+        cache root) is served entirely from the cache."""
+        kwargs = dict(topologies=(topology,), schedules=("alltoall",),
+                      strategies=("gputn", "gds"), node_counts=(8,),
+                      nbytes=8 * 1024)
+        runs = [run_topo_campaign(cache=ResultCache(str(tmp_path / "cache")),
+                                  store=str(tmp_path / f"store{i}"), **kwargs)
+                for i in range(2)]
+        first, second = runs
+        assert first.ok and first.cache_stats["hits"] == 0
+        assert second.cache_stats["hits"] == second.total == 2
+        assert [r.to_json() for r in first.records] == \
+               [r.to_json() for r in second.records]

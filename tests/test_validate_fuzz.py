@@ -14,6 +14,7 @@ from repro.validate import (
     run_campaign,
 )
 from repro.config import default_config
+from repro.runtime import ResultCache
 
 
 class TestFuzzCase:
@@ -90,6 +91,19 @@ class TestCampaign:
         assert doc["ok"] is True and doc["total"] == 2
         assert doc["by_workload"]["microbench"] == {"passed": 2, "total": 2}
         assert all("knobs" in case for case in doc["cases"])
+
+    def test_resubmit_hits_cache(self, tmp_path):
+        """Each case's knobs are applied in configure(); a resubmission
+        (fresh store, same cache root) still runs none of them."""
+        runs = [run_campaign(workloads=("microbench",), seeds=3,
+                             cache=ResultCache(str(tmp_path / "cache")),
+                             store=str(tmp_path / f"store{i}"))
+                for i in range(2)]
+        first, second = runs
+        assert first.cache_stats["hits"] == 0
+        assert second.cache_stats["hits"] == second.total == 3
+        assert [r.to_json() for r in first.records] == \
+               [r.to_json() for r in second.records]
 
     def test_rejects_bad_seed_count(self):
         with pytest.raises(ValueError):
