@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, Generator, Optional
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.memory import Agent, Buffer, MemoryOrder, Scope
+from repro.memory import Agent, Buffer, MemoryOrder, Scope, poll_flag
 from repro.sim import Event, Simulator
 
 __all__ = ["KernelContext", "KernelDescriptor"]
@@ -195,15 +195,10 @@ class KernelContext:
         a system-scope acquire load (paper §4.2.5/§4.2.6) costing one
         poll interval.
         """
-        if at_least <= 0:
-            raise ValueError("poll target must be positive")
-        word = buf.view(np.uint32, count=1, offset=offset)
-        while True:
-            self.gpu.mem.record_read(self.sim.now, Agent.GPU, buf,
-                                     scope=Scope.SYSTEM, order=MemoryOrder.ACQUIRE)
-            if int(word[0]) >= at_least:
-                return int(word[0])
-            yield self.sim.timeout(self.config.gpu.poll_interval_ns)
+        return (yield from poll_flag(
+            self.sim, self.gpu.mem, Agent.GPU, buf, offset, at_least,
+            self.config.gpu.poll_interval_ns,
+            scope=Scope.SYSTEM, order=MemoryOrder.ACQUIRE))
 
     # ---------------------------------------------------------------- data
     def write(self, buf: Buffer, data: np.ndarray, offset: int = 0) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from repro.config import SystemConfig
 from repro.gpu.device import Gpu, KernelInstance
 from repro.gpu.kernel import KernelDescriptor
-from repro.memory import Agent, Buffer, MemoryTiming
+from repro.memory import Agent, Buffer, MemoryTiming, poll_flag
 from repro.nic.device import Nic, PutHandle, RecvHandle
 from repro.sim import Event, Simulator, Tracer
 
@@ -166,12 +166,9 @@ class Host:
 
     def poll_flag(self, buf: Buffer, offset: int = 0, at_least: int = 1):
         """CPU spin on a uint32 flag word (coherent agent: no fences)."""
-        word = buf.view(np.uint32, count=1, offset=offset)
-        while True:
-            self.mem.record_read(self.sim.now, Agent.CPU, buf)
-            if int(word[0]) >= at_least:
-                return int(word[0])
-            yield self.sim.timeout(self.config.cpu.completion_poll_ns)
+        return (yield from poll_flag(
+            self.sim, self.mem, Agent.CPU, buf, offset, at_least,
+            self.config.cpu.completion_poll_ns))
 
     # ------------------------------------------------------------- buffers
     def alloc(self, nbytes: int, name: str = "", register: bool = True) -> Buffer:

@@ -26,6 +26,7 @@ from repro.memory.model import (
     MemoryOrder,
     Scope,
     ScopedMemoryModel,
+    poll_flag,
 )
 from repro.memory.timing import MemoryTiming
 
@@ -39,4 +40,5 @@ __all__ = [
     "RegistrationError",
     "Scope",
     "ScopedMemoryModel",
+    "poll_flag",
 ]

@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.memory.address_space import Buffer
 
-__all__ = ["Agent", "MemoryHazard", "MemoryOrder", "Scope", "ScopedMemoryModel"]
+__all__ = ["Agent", "MemoryHazard", "MemoryOrder", "Scope", "ScopedMemoryModel",
+           "poll_flag"]
 
 
 class Agent(str, enum.Enum):
@@ -47,6 +50,12 @@ class MemoryOrder(str, enum.Enum):
     RELEASE = "release"
     ACQ_REL = "acq_rel"
     SEQ_CST = "seq_cst"
+
+
+# Bound once: reading an enum member off its class costs ~0.15 us on
+# CPython 3.11, a large share of a memoised read.
+_SYSTEM = Scope.SYSTEM
+_ACQUIRING = (MemoryOrder.ACQUIRE, MemoryOrder.ACQ_REL, MemoryOrder.SEQ_CST)
 
 
 @dataclass(frozen=True)
@@ -80,6 +89,18 @@ class _BufferState:
     # so that pipelined protocols (write slice s+1 while the NIC reads
     # slice s of the same buffer) are not flagged as hazards.
     dirty: Dict[Agent, List[Tuple[int, int]]] = field(default_factory=dict)
+    # Reads (agent, acquiring, lo, hi) found hazard-free since the last
+    # record_write/release of this buffer.  Only those two raise
+    # ``published`` or add ``dirty``; ``acquired`` only ever grows, which
+    # cannot make a clean read hazardous.  So repeating a memoised read
+    # is an exact no-op: its acquire merge changes nothing and the check
+    # would pass again.
+    clean: Set[Tuple[Agent, bool, int, int]] = field(default_factory=set)
+
+    def __setstate__(self, state: dict) -> None:
+        # Checkpoints written before the memo existed carry no ``clean``.
+        self.__dict__.update(state)
+        self.__dict__.setdefault("clean", set())
 
 
 class ScopedMemoryModel:
@@ -123,6 +144,7 @@ class ScopedMemoryModel:
             or scope >= Scope.SYSTEM
             and order in (MemoryOrder.RELEASE, MemoryOrder.ACQ_REL, MemoryOrder.SEQ_CST)
         )
+        st.clean.clear()
         if publishes:
             st.published[agent] = v
             st.dirty.pop(agent, None)
@@ -144,6 +166,7 @@ class ScopedMemoryModel:
                   else list(self._state.values()))
         for st in states:
             if agent in st.writes:
+                st.clean.clear()
                 st.published[agent] = st.writes[agent]
                 st.dirty.pop(agent, None)
                 self._invalidate_readers(st, agent)
@@ -177,19 +200,23 @@ class ScopedMemoryModel:
         """Record a load of ``buf[lo:hi)`` (whole buffer by default);
         returns (and logs) a hazard if it may observe stale data."""
         st = self._st(buf)
-        if scope >= Scope.SYSTEM and order in (
-            MemoryOrder.ACQUIRE, MemoryOrder.ACQ_REL, MemoryOrder.SEQ_CST
-        ):
+        acquiring = scope >= _SYSTEM and order in _ACQUIRING
+        span = (lo if lo is not None else 0,
+                hi if hi is not None else buf.nbytes)
+        key = (agent, acquiring, span[0], span[1])
+        if key in st.clean:
+            return None
+        if acquiring:
             mine = st.acquired.setdefault(agent, {})
             for writer, pub in st.published.items():
                 mine[writer] = max(mine.get(writer, 0), pub)
-        span = (lo if lo is not None else 0,
-                hi if hi is not None else buf.nbytes)
         hazard = self._check(time, agent, buf, st, span)
-        if hazard is not None:
-            self.hazards.append(hazard)
-            if self.strict:
-                raise StaleReadError(str(hazard))
+        if hazard is None:
+            st.clean.add(key)
+            return None
+        self.hazards.append(hazard)
+        if self.strict:
+            raise StaleReadError(str(hazard))
         return hazard
 
     def _check(self, time: int, reader: Agent, buf: Buffer,
@@ -222,3 +249,30 @@ class ScopedMemoryModel:
     def clear(self) -> None:
         self.hazards.clear()
         self._state.clear()
+
+
+def poll_flag(sim, mem: ScopedMemoryModel, agent: Agent, buf: Buffer,
+              offset: int, at_least: int, period: int,
+              scope: Scope = Scope.DEVICE,
+              order: MemoryOrder = MemoryOrder.RELAXED):
+    """Spin on the uint32 flag word at ``buf[offset]`` until it reaches
+    ``at_least``; returns the value read.
+
+    A generator for ``yield from``.  Every probe -- one now, then one per
+    ``period`` ns through :meth:`Simulator.poll` -- is a load by
+    ``agent`` recorded in ``mem`` with the given scope and order.
+    """
+    if at_least <= 0:
+        raise ValueError("poll target must be positive")
+    word = buf.view(np.uint32, count=1, offset=offset)
+    record_read = mem.record_read
+
+    def probe() -> Optional[int]:
+        record_read(sim.now, agent, buf, scope=scope, order=order)
+        value = word.item()
+        return value if value >= at_least else None
+
+    value = probe()
+    if value is None:
+        value = yield sim.poll(period, probe)
+    return value

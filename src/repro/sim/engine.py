@@ -236,6 +236,42 @@ class _CallbackEvent(Event):
         fn(*args)  # type: ignore[misc]
 
 
+class _Poll(Event):
+    """A spin-poll as one self-rescheduling event (:meth:`Simulator.poll`).
+
+    A re-schedule is one :meth:`Simulator._schedule_event` call made where
+    the replaced loop created its next :class:`Timeout` (one ``seq`` bump,
+    one tiebreak draw), so the pop sequence is unchanged.  With no
+    callbacks left (the waiter was interrupted or killed) a pop does
+    nothing, like the loop's orphaned Timeout; a probe that raises fails
+    the event, so the waiter sees the exception as it did in the loop.
+    """
+
+    __slots__ = ("_period", "_probe")
+
+    def __init__(self, sim: "Simulator", period: int, probe: Callable[[], Any]):
+        super().__init__(sim, name="poll")
+        self._period = period
+        self._probe = probe
+        sim._schedule_event(self, period)
+
+    def _run_callbacks(self) -> None:
+        if not self.callbacks:
+            return
+        try:
+            value = self._probe()
+        except Exception as exc:
+            self._ok = False
+            value = exc
+        else:
+            if value is None:
+                self.sim._schedule_event(self, self._period)
+                return
+        self._triggered = True
+        self._value = value
+        Event._run_callbacks(self)
+
+
 class _Condition(Event):
     """Base for AllOf/AnyOf composite events."""
 
@@ -332,6 +368,17 @@ class Simulator:
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         """Create an event that fires after ``delay`` ns."""
         return Timeout(self, delay, value)
+
+    def poll(self, period: int, probe: Callable[[], Any]) -> Event:
+        """Spin-poll: call ``probe()`` every ``period`` ns, starting one
+        period from now, until it returns something other than ``None``;
+        the returned event fires with that value.
+
+        Pops exactly the events ``while probe() is None: yield
+        sim.timeout(period)`` would, in the same order, at one heap pop
+        and one probe call per tick (see :class:`_Poll`).
+        """
+        return _Poll(self, period, probe)
 
     def spawn(self, generator, name: str = ""):
         """Start a new process from a generator. Returns the Process."""

@@ -152,8 +152,9 @@ def gpu_host_initiator(node: Node, target: str, send_buf: Buffer, nbytes: int,
     result.kernel_started = yield inst.started
     result.kernel_finished = yield inst.finished
     # Wait for the helper to have posted the message.
-    while request.handle is None:
-        yield node.sim.timeout(node.config.cpu.completion_poll_ns)
+    if request.handle is None:
+        yield node.sim.poll(node.config.cpu.completion_poll_ns,
+                            lambda: request.handle)
     result.network_posted = node.sim.now
     result.local_complete = yield request.handle.local
     result.detail["helper_thread_busy_ns"] = service.thread_busy_ns

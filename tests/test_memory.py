@@ -1,5 +1,7 @@
 """Unit tests for the memory substrate (repro.memory)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,15 @@ from repro.memory import (
     Scope,
     ScopedMemoryModel,
 )
-from repro.memory.model import StaleReadError
+from repro.memory.model import StaleReadError, poll_flag
+from repro.sim import Simulator
+
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - hypothesis is a test extra
+    HAVE_HYPOTHESIS = False
 
 
 class TestAddressSpace:
@@ -253,6 +263,133 @@ class TestIntervalGranularity:
         mm, buf = self._setup()
         mm.record_write(10, Agent.GPU, buf, lo=0, hi=512)
         assert mm.record_read(20, Agent.NIC, buf, lo=512, hi=1024) is None
+
+
+class _NoMemoModel(ScopedMemoryModel):
+    """Reference: the model with its clean-read memo dropped before every
+    read, so each read takes the full merge-and-check path."""
+
+    def record_read(self, time, agent, buf, *args, **kwargs):
+        self._st(buf).clean.clear()
+        return super().record_read(time, agent, buf, *args, **kwargs)
+
+
+_AGENTS = list(Agent)
+_SCOPES = list(Scope)
+_ORDERS = list(MemoryOrder)
+_SPANS = [(None, None), (0, 16), (8, 32), (32, 64), (0, 64)]
+
+
+def _apply(mm, bufs, ops):
+    for time, op in enumerate(ops):
+        kind, agent, b, scope, order, span = op
+        if kind == "write":
+            mm.record_write(time, agent, bufs[b % len(bufs)], scope=scope,
+                            order=order, lo=span[0], hi=span[1])
+        elif kind == "read":
+            mm.record_read(time, agent, bufs[b % len(bufs)], scope=scope,
+                           order=order, lo=span[0], hi=span[1])
+        else:  # a fence on one buffer, or on all of them for b == len(bufs)
+            chosen = None if b == len(bufs) else [bufs[b]]
+            getattr(mm, kind)(time, agent, scope, chosen)
+
+
+def _state(mm):
+    return {base: (b.writes, b.published, b.acquired, b.dirty)
+            for base, b in mm._state.items()}
+
+
+class TestReadMemo:
+    """Memoised hazard-free reads are exact no-ops: the model behaves
+    exactly as if every read ran the full merge-and-check path."""
+
+    if HAVE_HYPOTHESIS:
+        _op = st.tuples(
+            st.sampled_from(["write", "read", "read", "read", "release",
+                             "acquire"]),
+            st.sampled_from(_AGENTS), st.integers(0, 2),
+            st.sampled_from(_SCOPES), st.sampled_from(_ORDERS),
+            st.sampled_from(_SPANS))
+
+        @given(st.lists(_op, max_size=60))
+        def test_matches_model_without_memo(self, ops):
+            space = AddressSpace()
+            bufs = [space.alloc(64, name="a"), space.alloc(64, name="b")]
+            memo, ref = ScopedMemoryModel(), _NoMemoModel()
+            _apply(memo, bufs, ops)
+            _apply(ref, bufs, ops)
+            assert memo.hazards == ref.hazards
+            assert _state(memo) == _state(ref)
+
+    def test_write_release_clear_memo_acquire_keeps_it(self):
+        mm = ScopedMemoryModel()
+        buf = AddressSpace().alloc(64, name="flag")
+        assert mm.record_read(1, Agent.NIC, buf) is None
+        assert mm._st(buf).clean == {(Agent.NIC, False, 0, 64)}
+        mm.acquire(2, Agent.GPU)
+        assert mm._st(buf).clean
+        mm.record_write(3, Agent.GPU, buf)
+        assert not mm._st(buf).clean
+        assert mm.record_read(4, Agent.NIC, buf) is not None
+        assert not mm._st(buf).clean
+        mm.release(5, Agent.GPU)
+        assert mm.record_read(6, Agent.NIC, buf) is None
+        assert mm._st(buf).clean
+        mm.release(7, Agent.GPU)
+        assert not mm._st(buf).clean
+
+    def test_unpickles_state_saved_without_memo(self):
+        mm = ScopedMemoryModel()
+        buf = AddressSpace().alloc(64, name="flag")
+        mm.record_write(1, Agent.GPU, buf)
+        st = mm._st(buf)
+        del st.clean
+        restored = pickle.loads(pickle.dumps(mm))
+        assert restored.record_read(2, Agent.NIC, buf) is not None
+        restored.release(3, Agent.GPU)
+        assert restored.record_read(4, Agent.NIC, buf) is None
+        assert restored.record_read(5, Agent.NIC, buf) is None
+
+    @staticmethod
+    def _unfenced_gpu_poll(mm, use_poll):
+        """A GPU spins with relaxed loads on a flag the CPU publishes at
+        t=25 (stale from then on) and sets at t=95; probes every 10 ns."""
+        sim = Simulator()
+        buf = AddressSpace().alloc(8, name="flag")
+        word = buf.view(np.uint32, count=2)
+
+        def cpu_store(index, value):
+            word[index] = value
+            mm.record_write(sim.now, Agent.CPU, buf)
+
+        def reference():
+            while True:
+                mm.record_read(sim.now, Agent.GPU, buf)
+                if int(word[0]) >= 1:
+                    return int(word[0])
+                yield sim.timeout(10)
+
+        sim.call_later(25, cpu_store, 1, 7)
+        sim.call_later(95, cpu_store, 0, 1)
+        poller = (poll_flag(sim, mm, Agent.GPU, buf, 0, 1, 10) if use_poll
+                  else reference())
+        proc = sim.spawn(poller)
+        sim.run()
+        return proc
+
+    def test_unfenced_gpu_poll_logs_every_tick(self):
+        memo, ref = ScopedMemoryModel(), _NoMemoModel()
+        proc = self._unfenced_gpu_poll(memo, True)
+        self._unfenced_gpu_poll(ref, False)
+        assert proc.value == 1
+        assert [h.time for h in memo.hazards] == list(range(30, 101, 10))
+        assert memo.hazards == ref.hazards
+
+    def test_unfenced_gpu_poll_strict_raises_on_first_hazard(self):
+        mm = ScopedMemoryModel(strict=True)
+        proc = self._unfenced_gpu_poll(mm, True)
+        assert not proc.ok and isinstance(proc.value, StaleReadError)
+        assert [h.time for h in mm.hazards] == [30]
 
 
 class TestMemoryTiming:
