@@ -72,6 +72,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Optional
 
 from repro.analysis import (
     figure1_report,
@@ -83,7 +86,21 @@ from repro.analysis import (
     table2_report,
     table3_report,
 )
+from repro.apps.congestion import (CONGESTION_DISCIPLINES, CONGESTION_LOADS,
+                                   CONGESTION_STRATEGIES,
+                                   CONGESTION_TRANSPORTS, CongestionExperiment,
+                                   CongestionReport, run_congestion_campaign)
+from repro.apps.topo_scale import (TOPO_SCHEDULES, TOPO_STRATEGIES,
+                                   TOPO_TOPOLOGIES, TopoScaleReport,
+                                   run_topo_campaign)
+from repro.collectives.algorithms import SCHEDULE_BUILDERS
+from repro.collectives.engine import CollectiveExperiment
+from repro.faults import (FAULT_WORKLOADS, FaultsExperiment, FaultsReport,
+                          run_faults_campaign)
 from repro.runtime import ResultCache
+from repro.service.job import CampaignReport, JobPreempted, drive_study
+from repro.validate.fuzz import (FUZZ_WORKLOADS, FuzzReport,
+                                 ValidateExperiment, run_campaign)
 
 _EXHIBITS = {
     "tab1": ("Table 1", table1_report),
@@ -143,38 +160,6 @@ def check_dispatch_args(parser: argparse.ArgumentParser,
         parser.error(f"--window must be >= 1, got {args.window}")
 
 
-def add_campaign_args(parser: argparse.ArgumentParser, *,
-                      workloads, seeds_default: int) -> None:
-    """The seeded-campaign surface shared by ``validate``/``faults``
-    (and their ``jobs submit`` spellings)."""
-    parser.add_argument("--seeds", type=int, default=seeds_default,
-                        metavar="N",
-                        help=f"cases per workload (default: {seeds_default})")
-    parser.add_argument("--seed-start", type=int, default=0, metavar="S",
-                        help="first seed of the range (default: 0)")
-    parser.add_argument("--workloads", nargs="+", choices=list(workloads),
-                        default=list(workloads), metavar="W",
-                        help=f"subset of {list(workloads)} (default: all)")
-    add_jobs_arg(parser)
-    add_dispatch_args(parser)
-    parser.add_argument("--fail-fast", action="store_true",
-                        help="stop dispatching new cases after the first "
-                             "failing case (in-flight cases still finish)")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="reuse case records across campaigns via a "
-                             "ResultCache at DIR (hit/miss tally lands in "
-                             "the summary and the --json report)")
-    parser.add_argument("--json", metavar="FILE", default=None,
-                        help="write the full campaign report as JSON")
-
-
-def check_campaign_args(parser: argparse.ArgumentParser,
-                        args: argparse.Namespace) -> None:
-    if args.seeds < 1:
-        parser.error(f"--seeds must be >= 1, got {args.seeds}")
-    check_dispatch_args(parser, args)
-
-
 def check_topology_specs(parser: argparse.ArgumentParser, specs,
                          node_counts) -> None:
     """Fail fast (exit 2, grammar in the message) on any bad topology
@@ -190,46 +175,96 @@ def check_topology_specs(parser: argparse.ArgumentParser, specs,
                 parser.error(f"topology {spec!r} at {n} nodes: {err}")
 
 
-# ----------------------------------------------------------------- campaigns
-def _campaign_kind(kind: str):
-    """Late-bound campaign plumbing: (workloads, runner, seeds, blurb)."""
-    if kind == "validate":
-        from repro.validate import FUZZ_WORKLOADS, run_campaign
-        return FUZZ_WORKLOADS, run_campaign, 100, (
-            "Fuzz event schedules and timing knobs over the paper's "
-            "workloads with every DESIGN.md §6 invariant monitor armed.  "
-            "Any failure replays from its (workload, seed) pair alone.")
-    from repro.faults import FAULT_WORKLOADS, run_faults_campaign
-    return FAULT_WORKLOADS, run_faults_campaign, 25, (
-        "Run seeded fault-injection campaigns: per-seed "
-        "drop/corruption/jitter/flap/stall scenarios on the fabric, the "
-        "go-back-N reliable transport armed on every NIC, and all "
-        "invariant monitors (including reliable-delivery) watching.  "
-        "Any failure replays from its (workload, seed) pair alone.")
+# ------------------------------------------------------------------- studies
+Check = Callable[[argparse.Namespace], None]
 
 
-def _campaign_progress(event) -> None:
-    """One line per resolved case, streamed as the service reports it."""
-    m = event.record.metrics
-    if "workload" in m and "seed" in m:
-        what = f"{m['workload']} seed={m['seed']}"
-        marker = "ok" if m.get("ok") else "FAIL"
-    else:
-        what = f"{event.record.experiment}[{event.index}]"
-        marker = "done"
-    src = "" if event.source == "run" else f" [{event.source}]"
-    print(f"[{event.done}/{event.total}] {what} {marker}{src}", flush=True)
+@dataclass(frozen=True)
+class Study:
+    """One campaign study: ``repro NAME``, ``jobs submit NAME``, and the
+    rendering of a ``jobs resume`` whose job ran ``experiment``."""
+
+    name: str
+    experiment: str
+    description: str
+    #: Adds the study's own axes to a parser; returns their check.
+    axes: Callable[[argparse.ArgumentParser], Check]
+    #: ``run(args, **service) -> report`` (``None``: nothing to report).
+    run: Callable[..., Optional[CampaignReport]]
+    report: type
+    #: What one progress line says about a record.
+    describe: Callable[[Any], str]
+    #: Prints the report's result table and failures.
+    table: Callable[[Any], None]
+    #: The summary noun and verdict: "N/M cases clean".
+    unit: str
+    verdict: str
+    #: ``repro NAME`` streams progress lines (``jobs`` always does).
+    echo: bool = False
 
 
-def _print_campaign_report(kind: str, report, json_path=None) -> int:
-    """Shared summary/failure/json rendering for both campaign kinds."""
+def _seeded_axes(workloads, seeds_default: int, parser) -> Check:
+    parser.add_argument("--seeds", type=int, default=seeds_default,
+                        metavar="N",
+                        help=f"cases per workload (default: {seeds_default})")
+    parser.add_argument("--seed-start", type=int, default=0, metavar="S",
+                        help="first seed of the range (default: 0)")
+    parser.add_argument("--workloads", nargs="+", choices=list(workloads),
+                        default=list(workloads), metavar="W",
+                        help=f"subset of {list(workloads)} (default: all)")
+
+    def check(args: argparse.Namespace) -> None:
+        if args.seeds < 1:
+            parser.error(f"--seeds must be >= 1, got {args.seeds}")
+    return check
+
+
+def _faults_axes(parser) -> Check:
+    check_seeds = _seeded_axes(FAULT_WORKLOADS, 25, parser)
+    parser.add_argument("--degraded", action="store_true",
+                        help="instead of a campaign, run the degraded-mode "
+                             "study: goodput and p50/p99 latency per "
+                             "strategy across loss rates")
+
+    def check(args: argparse.Namespace) -> None:
+        check_seeds(args)
+        clashes = [flag for flag, given in (
+            ("jobs submit", args.store is not None),
+            ("--cache-dir", args.cache_dir is not None),
+            ("--json", args.json is not None),
+            ("--listen", args.listen is not None)) if given]
+        if args.degraded and clashes:
+            parser.error("--degraded runs the degraded-mode study, not a "
+                         f"campaign job; it cannot take {', '.join(clashes)}")
+    return check
+
+
+def _run_validate(args, **service):
+    return run_campaign(workloads=args.workloads, seeds=args.seeds,
+                        seed_start=args.seed_start, **service)
+
+
+def _run_faults(args, **service):
+    if args.degraded:
+        from repro.apps.degraded import degraded_report
+
+        degraded_report(jobs=args.jobs)
+        return None
+    return run_faults_campaign(workloads=args.workloads, seeds=args.seeds,
+                               seed_start=args.seed_start, **service)
+
+
+def _describe_case(record) -> str:
+    return f"{record.metrics['workload']} seed={record.metrics['seed']}"
+
+
+def _print_cases(kind: str, scenario_key: str, report) -> None:
     for workload, (passed, total) in sorted(report.by_workload().items()):
         marker = "ok  " if passed == total else "FAIL"
         print(f"{marker} {workload:<12} {passed}/{total} cases clean")
     if kind == "faults" and report.gave_up:
         print(f"note: {len(report.gave_up)} case(s) exhausted the retry "
               "budget and died cleanly with TransportError (still a pass)")
-    scenario_key = "knobs" if kind == "validate" else "faults"
     for record in report.failures:
         m = record.metrics
         print(f"\nFAIL {m['workload']} seed={m['seed']} "
@@ -243,6 +278,223 @@ def _print_campaign_report(kind: str, report, json_path=None) -> int:
             print(f"  crash: {m['crash']}")
         print(f"  replay: python -m repro {kind} --workloads "
               f"{m['workload']} --seeds 1 --seed-start {m['seed']}")
+
+
+def _strategies(report) -> list:
+    """The strategy columns, in grid order."""
+    return list(dict.fromkeys(p["strategy"] for p in report.points))
+
+
+def _topo_axes(parser) -> Check:
+    parser.add_argument("--topologies", nargs="+", metavar="T",
+                        default=list(TOPO_TOPOLOGIES),
+                        help="topology spec strings, e.g. star fat-tree:k=4 "
+                             f"torus:8x8 dragonfly (default: "
+                             f"{list(TOPO_TOPOLOGIES)})")
+    parser.add_argument("--schedules", nargs="+", metavar="S",
+                        choices=sorted(SCHEDULE_BUILDERS),
+                        default=list(TOPO_SCHEDULES),
+                        help=f"subset of {sorted(SCHEDULE_BUILDERS)} "
+                             "(default: all)")
+    parser.add_argument("--strategies", nargs="+", metavar="B",
+                        choices=["cpu", "hdn", "gds", "gputn"],
+                        default=list(TOPO_STRATEGIES),
+                        help="backends to compare (default: gputn gds hdn)")
+    parser.add_argument("--nodes", nargs="+", type=int, default=[16, 64],
+                        metavar="N", help="node counts (default: 16 64)")
+    parser.add_argument("--nbytes", type=int, default=64 * 1024, metavar="B",
+                        help="payload bytes, padded to whole float32 chunks "
+                             "(default: 65536)")
+    parser.add_argument("--seed", type=int, default=11,
+                        help="data seed (default: 11)")
+
+    def check(args: argparse.Namespace) -> None:
+        if any(n < 2 for n in args.nodes):
+            parser.error("--nodes entries must be >= 2")
+        check_topology_specs(parser, args.topologies, args.nodes)
+    return check
+
+
+def _run_topo(args, **service):
+    return run_topo_campaign(
+        topologies=args.topologies, schedules=args.schedules,
+        strategies=args.strategies, node_counts=args.nodes,
+        nbytes=args.nbytes, seed=args.seed, **service)
+
+
+def _describe_topo(record) -> str:
+    p = record.params
+    return (f"{p['topology']} {p['schedule']} {p['strategy']} "
+            f"n={p['n_nodes']} {record.metrics['total_ns']}ns")
+
+
+def _print_topo(report) -> None:
+    strategies = _strategies(report)
+    cases = report.by_case()
+    speedups = report.speedups()
+    print(f"{'topology':<16} {'schedule':<20} {'n':>4}  "
+          + "".join(f"{s:>12}" for s in strategies)
+          + "  gputn speedup")
+    for key in sorted(cases):
+        topo, sched, n = key
+        times = cases[key]
+        cols = "".join(f"{times.get(s, '-'):>12}" for s in strategies)
+        sp = speedups.get(key, {})
+        sp_txt = " ".join(f"{s}:{v:.2f}x" for s, v in sorted(sp.items()))
+        print(f"{topo:<16} {sched:<20} {n:>4}  {cols}  {sp_txt}")
+    for r in report.failures:
+        p = r.params
+        print(f"\nFAIL {p['topology']} {p['schedule']} {p['strategy']} "
+              f"n={p['n_nodes']}: result diverged from the NumPy oracle")
+
+
+def _congestion_axes(parser) -> Check:
+    parser.add_argument("--loads", nargs="+", type=float, metavar="L",
+                        default=list(CONGESTION_LOADS),
+                        help="background load per node as a fraction of "
+                             f"link rate (default: {list(CONGESTION_LOADS)})")
+    parser.add_argument("--disciplines", nargs="+", metavar="D",
+                        choices=["drop-tail", "red", "red-ecn", "none"],
+                        default=list(CONGESTION_DISCIPLINES),
+                        help="switch-queue disciplines (default: "
+                             f"{list(CONGESTION_DISCIPLINES)})")
+    parser.add_argument("--transports", nargs="+", metavar="T",
+                        choices=["go-back-n", "selective-repeat"],
+                        default=list(CONGESTION_TRANSPORTS),
+                        help="ARQ engines (selective-repeat pairs with AIMD "
+                             f"pacing; default: {list(CONGESTION_TRANSPORTS)})")
+    parser.add_argument("--strategies", nargs="+", metavar="B",
+                        choices=["hdn", "gds", "gputn"],
+                        default=list(CONGESTION_STRATEGIES),
+                        help="initiation strategies to compare (default: "
+                             f"{list(CONGESTION_STRATEGIES)})")
+    parser.add_argument("--topology", default="fat-tree:k=4", metavar="SPEC",
+                        help="topology spec string (default: fat-tree:k=4)")
+    parser.add_argument("--nodes", type=int, default=16, metavar="N",
+                        help="cluster size (default: 16)")
+    parser.add_argument("--messages", type=int, default=32, metavar="M",
+                        help="foreground messages per point (default: 32)")
+    parser.add_argument("--nbytes", type=int, default=1024, metavar="B",
+                        help="foreground message size (default: 1024)")
+    parser.add_argument("--bg-horizon-ns", type=int, default=120_000,
+                        metavar="NS",
+                        help="background-traffic generation horizon "
+                             "(default: 120000)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="traffic/RED seed (default: 0)")
+
+    def check(args: argparse.Namespace) -> None:
+        if args.nodes < 2:
+            parser.error(f"--nodes must be >= 2, got {args.nodes}")
+        if args.messages < 1:
+            parser.error(f"--messages must be >= 1, got {args.messages}")
+        if any(load < 0 for load in args.loads):
+            parser.error("--loads entries must be >= 0")
+        check_topology_specs(parser, [args.topology], [args.nodes])
+    return check
+
+
+def _run_congestion(args, **service):
+    return run_congestion_campaign(
+        loads=args.loads, disciplines=args.disciplines,
+        transports=args.transports, strategies=args.strategies,
+        topology=args.topology, n_nodes=args.nodes, messages=args.messages,
+        nbytes=args.nbytes, bg_horizon_ns=args.bg_horizon_ns,
+        seed=args.seed, **service)
+
+
+def _describe_congestion(record) -> str:
+    p, m = record.params, record.metrics
+    return (f"load={p['load']} {p['discipline']} {p['transport']} "
+            f"{p['strategy']} p99={m['p99_latency_ns']}ns")
+
+
+def _print_congestion(report) -> None:
+    strategies = _strategies(report)
+    cases = report.by_case()
+    print(f"{'load':>5} {'discipline':<11} {'transport':<17}  "
+          + "".join(f"{s + ' p99':>13}" for s in strategies)
+          + "  goodput(B/us)")
+    for key in sorted(cases):
+        load, disc, transport = key
+        per_strategy = cases[key]
+        cols = "".join(
+            f"{per_strategy[s]['p99_latency_ns'] if s in per_strategy else '-':>13}"
+            for s in strategies)
+        good = " ".join(
+            f"{s}:{m['goodput_bytes_per_us']}"
+            for s, m in sorted(per_strategy.items()))
+        print(f"{load:>5} {disc:<11} {transport:<17}  {cols}  {good}")
+    for r in report.failures:
+        p, m = r.params, r.metrics
+        why = ("gave up" if m["gave_up"] else
+               "; ".join(v["invariant"] for v in m["violations"])
+               or f"delivered {m['delivered']}/{m['requested']}")
+        print(f"\nFAIL load={p['load']} {p['discipline']} {p['transport']} "
+              f"{p['strategy']}: {why}")
+
+
+STUDIES = {study.name: study for study in (
+    Study("validate", ValidateExperiment.name,
+          "Fuzz event schedules and timing knobs over the paper's "
+          "workloads with every DESIGN.md §6 invariant monitor armed.  "
+          "Any failure replays from its (workload, seed) pair alone.",
+          axes=partial(_seeded_axes, FUZZ_WORKLOADS, 100),
+          run=_run_validate, report=FuzzReport, describe=_describe_case,
+          table=partial(_print_cases, "validate", "knobs"),
+          unit="cases", verdict="clean"),
+    Study("faults", FaultsExperiment.name,
+          "Run seeded fault-injection campaigns: per-seed "
+          "drop/corruption/jitter/flap/stall scenarios on the fabric, the "
+          "go-back-N reliable transport armed on every NIC, and all "
+          "invariant monitors (including reliable-delivery) watching.  "
+          "Any failure replays from its (workload, seed) pair alone.",
+          axes=_faults_axes, run=_run_faults, report=FaultsReport,
+          describe=_describe_case,
+          table=partial(_print_cases, "faults", "faults"),
+          unit="cases", verdict="clean"),
+    Study("topo", CollectiveExperiment.name,
+          "Scale-out study: run the collective schedule zoo across "
+          "datacenter topologies and node counts, verifying every point "
+          "against the NumPy schedule oracle and reporting GPU-TN speedup "
+          "over GDS/HDN.",
+          axes=_topo_axes, run=_run_topo, report=TopoScaleReport,
+          describe=_describe_topo, table=_print_topo,
+          unit="points", verdict="verified", echo=True),
+    Study("congestion", CongestionExperiment.name,
+          "Under-load study: sweep background load x switch-queue "
+          "discipline x ARQ transport x initiation strategy on a congested "
+          "fat tree, reporting foreground goodput and p50/p99 latency with "
+          "the packet-conservation and exactly-once monitors armed at "
+          "every point.",
+          axes=_congestion_axes, run=_run_congestion,
+          report=CongestionReport, describe=_describe_congestion,
+          table=_print_congestion,
+          unit="points", verdict="clean", echo=True),
+)}
+_BY_EXPERIMENT = {study.experiment: study for study in STUDIES.values()}
+
+
+def _echo_point(study: Optional[Study], event) -> None:
+    """One line per resolved point, streamed as the service reports it."""
+    if study is None:  # a resumed job no study owns
+        what, marker = f"{event.record.experiment}[{event.index}]", "done"
+    else:
+        what = study.describe(event.record)
+        marker = "ok" if study.report.passed(event.record) else "FAIL"
+    src = "" if event.source == "run" else f" [{event.source}]"
+    print(f"[{event.done}/{event.total}] {what} {marker}{src}", flush=True)
+
+
+def _preempted(unit: str, preempt: JobPreempted) -> int:
+    print(f"\npreempted at {preempt.done}/{preempt.total} {unit}; resume "
+          f"with: python -m repro jobs resume {preempt.job_id}", flush=True)
+    return 130
+
+
+def _print_report(study: Study, report, json_path: Optional[str]) -> int:
+    """The study's table, then the JSON file, cache tally and summary."""
+    study.table(report)
     if json_path:
         import json
 
@@ -252,59 +504,56 @@ def _print_campaign_report(kind: str, report, json_path=None) -> int:
     if report.cache_stats is not None:
         print(f"\ncache: {report.cache_stats['hits']} hits, "
               f"{report.cache_stats['misses']} misses")
-    total_failed = len(report.failures)
-    print(f"\n{report.total - total_failed}/{report.total} cases clean"
-          + (f", {total_failed} FAILED" if total_failed else ""))
+    failed = len(report.failures)
+    print(f"\n{report.total - failed}/{report.total} {study.unit} "
+          f"{study.verdict}" + (f", {failed} FAILED" if failed else ""))
     return 0 if report.ok else 1
 
 
-def _campaign_main(kind: str, argv, store=None, echo: bool = False,
-                   checkpoint=None) -> int:
-    workloads, runner, seeds_default, description = _campaign_kind(kind)
-    parser = argparse.ArgumentParser(prog=f"python -m repro {kind}",
-                                     description=description)
-    add_campaign_args(parser, workloads=workloads,
-                      seeds_default=seeds_default)
-    if kind == "faults":
-        parser.add_argument("--degraded", action="store_true",
-                            help="instead of a campaign, run the "
-                                 "degraded-mode study: goodput and p50/p99 "
-                                 "latency per strategy across loss rates")
+def _study_main(study: Study, argv, store=None, checkpoint=None) -> int:
+    """``repro NAME`` and (with ``store``) ``jobs submit NAME``."""
+    parser = argparse.ArgumentParser(prog=f"python -m repro {study.name}",
+                                     description=study.description)
+    parser.set_defaults(store=store)
+    check = study.axes(parser)
+    add_jobs_arg(parser)
+    add_dispatch_args(parser)
+    parser.add_argument("--fail-fast", action="store_true",
+                        help=f"stop dispatching new {study.unit} after the "
+                             f"first failing one (in-flight {study.unit} "
+                             "still finish)")
+    parser.add_argument("--cache-dir", metavar="DIR", default=None,
+                        help="reuse records across campaigns via a "
+                             "ResultCache at DIR (hit/miss tally lands in "
+                             "the summary and the --json report)")
+    parser.add_argument("--json", metavar="FILE", default=None,
+                        help="write the full report as JSON")
     args = parser.parse_args(argv)
-    check_campaign_args(parser, args)
-
-    if kind == "faults" and args.degraded:
-        from repro.apps.degraded import degraded_report
-
-        degraded_report(jobs=args.jobs)
-        return 0
-
-    from repro.service import JobPreempted
-
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    check(args)
+    check_dispatch_args(parser, args)
+    echo = store is not None or study.echo
     try:
-        report = runner(workloads=args.workloads, seeds=args.seeds,
-                        seed_start=args.seed_start, jobs=args.jobs,
-                        fail_fast=args.fail_fast, cache=cache, store=store,
-                        progress=_campaign_progress if echo else None,
-                        checkpoint=checkpoint, listen=args.listen,
-                        priority=args.priority, window=args.window)
+        report = study.run(
+            args, jobs=args.jobs, fail_fast=args.fail_fast,
+            cache=ResultCache(args.cache_dir) if args.cache_dir else None,
+            store=store, progress=partial(_echo_point, study) if echo else None,
+            checkpoint=checkpoint, listen=args.listen,
+            priority=args.priority, window=args.window)
     except JobPreempted as preempt:
-        print(f"\npreempted at {preempt.done}/{preempt.total} cases; resume "
-              f"with: python -m repro jobs resume {preempt.job_id}",
-              flush=True)
-        return 130
-    return _print_campaign_report(kind, report, args.json)
+        return _preempted(study.unit, preempt)
+    if report is None:
+        return 0
+    return _print_report(study, report, args.json)
 
 
 # ---------------------------------------------------------------------- jobs
 def _jobs_main(argv) -> int:
-    from repro.service import Job, JobPreempted, JobStore, SubmitThrottled
+    from repro.service import Job, JobStore, SubmitThrottled
 
     commands = ("submit", "status", "list", "resume", "cancel")
     if not argv or argv[0] not in commands:
         print(f"usage: python -m repro jobs {{{','.join(commands)}}} ...\n"
-              "  submit {validate,faults,topo,congestion} [--store DIR] "
+              f"  submit {{{','.join(STUDIES)}}} [--store DIR] "
               "[campaign args]\n"
               "  status [JOB_ID] [--store DIR] [--json]\n"
               "  resume JOB_ID [--store DIR] [-j N] [--json FILE]\n"
@@ -339,8 +588,7 @@ def _jobs_main(argv) -> int:
                         "completed case lands in the job store, so a killed "
                         "or preempted campaign resumes from where it "
                         "stopped.")
-        parser.add_argument("kind", choices=["validate", "faults", "topo",
-                                             "congestion"])
+        parser.add_argument("kind", choices=list(STUDIES))
         parser.add_argument("--store", metavar="DIR", default=None,
                             help="job store root (default: .repro-jobs, or "
                                  "$REPRO_JOBS_DIR)")
@@ -370,15 +618,8 @@ def _jobs_main(argv) -> int:
         store = JobStore(args.store, max_active=args.max_active,
                          min_interval_s=args.min_submit_interval)
         try:
-            if args.kind == "topo":
-                return _topo_main(campaign_argv, store=store,
-                                  echo=True, checkpoint=checkpoint)
-            if args.kind == "congestion":
-                return _congestion_main(campaign_argv, store=store,
-                                        echo=True, checkpoint=checkpoint)
-            return _campaign_main(args.kind, campaign_argv,
-                                  store=store, echo=True,
-                                  checkpoint=checkpoint)
+            return _study_main(STUDIES[args.kind], campaign_argv,
+                               store=store, checkpoint=checkpoint)
         except SubmitThrottled as throttled:
             print(f"submission rejected: {throttled}", file=sys.stderr)
             return 75  # EX_TEMPFAIL: retry later
@@ -443,32 +684,23 @@ def _jobs_main(argv) -> int:
         print(missing.args[0], file=sys.stderr)
         return 1
     job.priority = args.priority
-    if args.listen is not None:
-        host, port = job.listen(args.listen)
-        print(f"job {job.id} listening on {host}:{port} -- join with: "
-              f"python -m repro worker serve --connect {host}:{port}",
-              flush=True)
+    study = _BY_EXPERIMENT.get(job.spec.experiment)
     try:
-        records = job.run(jobs=args.jobs, progress=_campaign_progress,
-                          window=args.window)
+        records = drive_study(job, study.report if study else CampaignReport,
+                              jobs=args.jobs,
+                              progress=partial(_echo_point, study),
+                              listen=args.listen, window=args.window)
     except JobPreempted as preempt:
-        print(f"\npreempted at {preempt.done}/{preempt.total} cases; resume "
-              f"with: python -m repro jobs resume {preempt.job_id}",
-              flush=True)
-        return 130
-    done = [r for r in records if r is not None]
+        return _preempted(study.unit if study else "points", preempt)
     print(f"\njob {job.id} {job.status()['status']}: "
           f"{job.stats['journal']} journaled, {job.stats['cache']} cached, "
           f"{job.stats['restored']} restored, {job.stats['run']} ran")
-    kind = job.spec.experiment
-    if kind in ("validate", "faults"):
-        if kind == "validate":
-            from repro.validate.fuzz import FuzzReport as Report
-        else:
-            from repro.faults.campaign import FaultsReport as Report
-        return _print_campaign_report(kind, Report(records=done), args.json)
-    print(f"{len(done)}/{len(records)} points complete")
-    return 0
+    if study is None:
+        print(f"{len(records)}/{len(job.spec.points)} points complete")
+        return 0
+    return _print_report(study, study.report(records=records,
+                                             points=job.spec.points),
+                         args.json)
 
 
 # --------------------------------------------------------------------- worker
@@ -506,248 +738,6 @@ def _worker_cli(argv) -> int:
 
     return serve_worker(args.connect, store=args.store, retry_s=args.retry,
                         once=args.once, log=log)
-
-
-# ----------------------------------------------------------------- topo
-def _topo_progress(event) -> None:
-    p = event.record.params
-    marker = "ok" if event.record.metrics["correct"] else "FAIL"
-    src = "" if event.source == "run" else f" [{event.source}]"
-    print(f"[{event.done}/{event.total}] {p['topology']} {p['schedule']} "
-          f"{p['strategy']} n={p['n_nodes']} "
-          f"{event.record.metrics['total_ns']}ns {marker}{src}", flush=True)
-
-
-def _topo_main(argv, store=None, echo: bool = False,
-               checkpoint=None) -> int:
-    from repro.apps.topo_scale import (TOPO_SCHEDULES, TOPO_STRATEGIES,
-                                       TOPO_TOPOLOGIES, run_topo_campaign)
-    from repro.collectives.algorithms import SCHEDULE_BUILDERS
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro topo",
-        description="Scale-out study: run the collective schedule zoo "
-                    "across datacenter topologies and node counts, "
-                    "verifying every point against the NumPy schedule "
-                    "oracle and reporting GPU-TN speedup over GDS/HDN.")
-    parser.add_argument("--topologies", nargs="+", metavar="T",
-                        default=list(TOPO_TOPOLOGIES),
-                        help="topology spec strings, e.g. star fat-tree:k=4 "
-                             f"torus:8x8 dragonfly (default: "
-                             f"{list(TOPO_TOPOLOGIES)})")
-    parser.add_argument("--schedules", nargs="+", metavar="S",
-                        choices=sorted(SCHEDULE_BUILDERS),
-                        default=list(TOPO_SCHEDULES),
-                        help=f"subset of {sorted(SCHEDULE_BUILDERS)} "
-                             "(default: all)")
-    parser.add_argument("--strategies", nargs="+", metavar="B",
-                        choices=["cpu", "hdn", "gds", "gputn"],
-                        default=list(TOPO_STRATEGIES),
-                        help="backends to compare (default: gputn gds hdn)")
-    parser.add_argument("--nodes", nargs="+", type=int, default=[16, 64],
-                        metavar="N", help="node counts (default: 16 64)")
-    parser.add_argument("--nbytes", type=int, default=64 * 1024, metavar="B",
-                        help="payload bytes, padded to whole float32 chunks "
-                             "(default: 65536)")
-    parser.add_argument("--seed", type=int, default=11,
-                        help="data seed (default: 11)")
-    add_jobs_arg(parser)
-    add_dispatch_args(parser)
-    parser.add_argument("--fail-fast", action="store_true",
-                        help="stop dispatching new points after the first "
-                             "oracle mismatch")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="reuse point records across campaigns via a "
-                             "ResultCache at DIR")
-    parser.add_argument("--json", metavar="FILE", default=None,
-                        help="write the full report as JSON")
-    args = parser.parse_args(argv)
-    check_dispatch_args(parser, args)
-    if any(n < 2 for n in args.nodes):
-        parser.error("--nodes entries must be >= 2")
-    check_topology_specs(parser, args.topologies, args.nodes)
-
-    from repro.service import JobPreempted
-
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    try:
-        report = run_topo_campaign(
-            topologies=args.topologies, schedules=args.schedules,
-            strategies=args.strategies, node_counts=args.nodes,
-            nbytes=args.nbytes, seed=args.seed, jobs=args.jobs,
-            fail_fast=args.fail_fast, cache=cache, store=store,
-            progress=_topo_progress if echo else None,
-            checkpoint=checkpoint, listen=args.listen,
-            priority=args.priority, window=args.window)
-    except JobPreempted as preempt:
-        print(f"\npreempted at {preempt.done}/{preempt.total} points; resume "
-              f"with: python -m repro jobs resume {preempt.job_id}",
-              flush=True)
-        return 130
-
-    cases = report.by_case()
-    speedups = report.speedups()
-    print(f"{'topology':<16} {'schedule':<20} {'n':>4}  "
-          + "".join(f"{s:>12}" for s in args.strategies)
-          + "  gputn speedup")
-    for key in sorted(cases):
-        topo, sched, n = key
-        times = cases[key]
-        cols = "".join(f"{times.get(s, '-'):>12}" for s in args.strategies)
-        sp = speedups.get(key, {})
-        sp_txt = " ".join(f"{s}:{v:.2f}x" for s, v in sorted(sp.items()))
-        print(f"{topo:<16} {sched:<20} {n:>4}  {cols}  {sp_txt}")
-    for r in report.failures:
-        p = r.params
-        print(f"\nFAIL {p['topology']} {p['schedule']} {p['strategy']} "
-              f"n={p['n_nodes']}: result diverged from the NumPy oracle")
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"\nreport written to {args.json}")
-    if report.cache_stats is not None:
-        print(f"\ncache: {report.cache_stats['hits']} hits, "
-              f"{report.cache_stats['misses']} misses")
-    failed = len(report.failures)
-    print(f"\n{report.total - failed}/{report.total} points verified"
-          + (f", {failed} FAILED" if failed else ""))
-    return 0 if report.ok else 1
-
-
-# ------------------------------------------------------------- congestion
-def _congestion_progress(event) -> None:
-    p = event.record.params
-    m = event.record.metrics
-    marker = "ok" if m["ok"] else "FAIL"
-    src = "" if event.source == "run" else f" [{event.source}]"
-    print(f"[{event.done}/{event.total}] load={p['load']} "
-          f"{p['discipline']} {p['transport']} {p['strategy']} "
-          f"p99={m['p99_latency_ns']}ns {marker}{src}", flush=True)
-
-
-def _congestion_main(argv, store=None, echo: bool = False,
-                     checkpoint=None) -> int:
-    from repro.apps.congestion import (CONGESTION_DISCIPLINES,
-                                       CONGESTION_LOADS,
-                                       CONGESTION_STRATEGIES,
-                                       CONGESTION_TRANSPORTS,
-                                       run_congestion_campaign)
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro congestion",
-        description="Under-load study: sweep background load x switch-queue "
-                    "discipline x ARQ transport x initiation strategy on a "
-                    "congested fat tree, reporting foreground goodput and "
-                    "p50/p99 latency with the packet-conservation and "
-                    "exactly-once monitors armed at every point.")
-    parser.add_argument("--loads", nargs="+", type=float, metavar="L",
-                        default=list(CONGESTION_LOADS),
-                        help="background load per node as a fraction of "
-                             f"link rate (default: {list(CONGESTION_LOADS)})")
-    parser.add_argument("--disciplines", nargs="+", metavar="D",
-                        choices=["drop-tail", "red", "red-ecn", "none"],
-                        default=list(CONGESTION_DISCIPLINES),
-                        help="switch-queue disciplines (default: "
-                             f"{list(CONGESTION_DISCIPLINES)})")
-    parser.add_argument("--transports", nargs="+", metavar="T",
-                        choices=["go-back-n", "selective-repeat"],
-                        default=list(CONGESTION_TRANSPORTS),
-                        help="ARQ engines (selective-repeat pairs with AIMD "
-                             f"pacing; default: {list(CONGESTION_TRANSPORTS)})")
-    parser.add_argument("--strategies", nargs="+", metavar="B",
-                        choices=["hdn", "gds", "gputn"],
-                        default=list(CONGESTION_STRATEGIES),
-                        help="initiation strategies to compare (default: "
-                             f"{list(CONGESTION_STRATEGIES)})")
-    parser.add_argument("--topology", default="fat-tree:k=4", metavar="SPEC",
-                        help="topology spec string (default: fat-tree:k=4)")
-    parser.add_argument("--nodes", type=int, default=16, metavar="N",
-                        help="cluster size (default: 16)")
-    parser.add_argument("--messages", type=int, default=32, metavar="M",
-                        help="foreground messages per point (default: 32)")
-    parser.add_argument("--nbytes", type=int, default=1024, metavar="B",
-                        help="foreground message size (default: 1024)")
-    parser.add_argument("--bg-horizon-ns", type=int, default=120_000,
-                        metavar="NS",
-                        help="background-traffic generation horizon "
-                             "(default: 120000)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="traffic/RED seed (default: 0)")
-    add_jobs_arg(parser)
-    add_dispatch_args(parser)
-    parser.add_argument("--fail-fast", action="store_true",
-                        help="stop dispatching new points after the first "
-                             "monitor violation or give-up")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="reuse point records across campaigns via a "
-                             "ResultCache at DIR")
-    parser.add_argument("--json", metavar="FILE", default=None,
-                        help="write the full report as JSON")
-    args = parser.parse_args(argv)
-    check_dispatch_args(parser, args)
-    if args.nodes < 2:
-        parser.error(f"--nodes must be >= 2, got {args.nodes}")
-    if args.messages < 1:
-        parser.error(f"--messages must be >= 1, got {args.messages}")
-    if any(load < 0 for load in args.loads):
-        parser.error("--loads entries must be >= 0")
-    check_topology_specs(parser, [args.topology], [args.nodes])
-
-    from repro.service import JobPreempted
-
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    try:
-        report = run_congestion_campaign(
-            loads=args.loads, disciplines=args.disciplines,
-            transports=args.transports, strategies=args.strategies,
-            topology=args.topology, n_nodes=args.nodes,
-            messages=args.messages, nbytes=args.nbytes,
-            bg_horizon_ns=args.bg_horizon_ns, seed=args.seed,
-            jobs=args.jobs, fail_fast=args.fail_fast, cache=cache,
-            store=store, progress=_congestion_progress if echo else None,
-            checkpoint=checkpoint, listen=args.listen,
-            priority=args.priority, window=args.window)
-    except JobPreempted as preempt:
-        print(f"\npreempted at {preempt.done}/{preempt.total} points; resume "
-              f"with: python -m repro jobs resume {preempt.job_id}",
-              flush=True)
-        return 130
-
-    print(f"{'load':>5} {'discipline':<11} {'transport':<17}  "
-          + "".join(f"{s + ' p99':>13}" for s in args.strategies)
-          + "  goodput(B/us)")
-    for key in sorted(report.by_case()):
-        load, disc, transport = key
-        per_strategy = report.by_case()[key]
-        cols = "".join(
-            f"{per_strategy[s]['p99_latency_ns'] if s in per_strategy else '-':>13}"
-            for s in args.strategies)
-        good = " ".join(
-            f"{s}:{m['goodput_bytes_per_us']}"
-            for s, m in sorted(per_strategy.items()))
-        print(f"{load:>5} {disc:<11} {transport:<17}  {cols}  {good}")
-    for r in report.failures:
-        p, m = r.params, r.metrics
-        why = ("gave up" if m["gave_up"] else
-               "; ".join(v["invariant"] for v in m["violations"])
-               or f"delivered {m['delivered']}/{m['requested']}")
-        print(f"\nFAIL load={p['load']} {p['discipline']} {p['transport']} "
-              f"{p['strategy']}: {why}")
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"\nreport written to {args.json}")
-    if report.cache_stats is not None:
-        print(f"\ncache: {report.cache_stats['hits']} hits, "
-              f"{report.cache_stats['misses']} misses")
-    failed = len(report.failures)
-    print(f"\n{report.total - failed}/{report.total} points clean"
-          + (f", {failed} FAILED" if failed else ""))
-    return 0 if report.ok else 1
 
 
 def _stats_workloads():
@@ -899,14 +889,8 @@ def _stats_main(argv) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] == ["validate"]:
-        return _campaign_main("validate", argv[1:])
-    if argv[:1] == ["faults"]:
-        return _campaign_main("faults", argv[1:])
-    if argv[:1] == ["topo"]:
-        return _topo_main(argv[1:], echo=True)
-    if argv[:1] == ["congestion"]:
-        return _congestion_main(argv[1:], echo=True)
+    if argv and argv[0] in STUDIES:
+        return _study_main(STUDIES[argv[0]], argv[1:])
     if argv[:1] == ["jobs"]:
         return _jobs_main(argv[1:])
     if argv[:1] == ["worker"]:

@@ -29,7 +29,6 @@ AIMD pacing) x strategy (hdn / gds / gputn), run as one service-layer
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +36,8 @@ import numpy as np
 from repro.cluster import Cluster
 from repro.config import KB, QueueConfig, ReliabilityConfig, SystemConfig
 from repro.nic.transport import TransportError
-from repro.runtime import Experiment, Sweep
+from repro.runtime import Experiment
+from repro.service.job import CampaignReport, run_study
 from repro.sim import AnyOf
 from repro.strategies import get_flow
 from repro.validate.monitors import (PacketConservationMonitor,
@@ -260,24 +260,8 @@ class CongestionExperiment(Experiment):
         return metrics, dict(outcome)
 
 
-@dataclass
-class CongestionReport:
+class CongestionReport(CampaignReport):
     """All RunRecords of one congestion campaign plus summary accessors."""
-
-    records: List[Any] = field(default_factory=list)
-    cache_stats: Optional[Dict[str, int]] = None
-
-    @property
-    def total(self) -> int:
-        return len(self.records)
-
-    @property
-    def failures(self) -> List[Any]:
-        return [r for r in self.records if not r.metrics["ok"]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def by_case(self) -> Dict[Tuple[float, str, str], Dict[str, Any]]:
         """(load, discipline, transport) -> {strategy: metrics}."""
@@ -314,26 +298,11 @@ def run_congestion_campaign(loads: Sequence[float] = CONGESTION_LOADS,
                             topology: str = "fat-tree:k=4", n_nodes: int = 16,
                             messages: int = 32, nbytes: int = 1024,
                             bg_horizon_ns: int = 120_000, seed: int = 0,
-                            jobs: int = 1,
-                            config: Optional[SystemConfig] = None,
-                            fail_fast: bool = False,
-                            cache: Optional[Any] = None,
-                            store: Optional[Any] = None,
-                            progress: Optional[Any] = None,
-                            checkpoint: Optional[Any] = None,
-                            listen: Optional[Any] = None, priority: int = 0,
-                            window: Optional[int] = None
-                            ) -> CongestionReport:
+                            **service: Any) -> CongestionReport:
     """The full load x discipline x transport x strategy grid as one
-    service-layer job (same contract as the topo/faults campaigns:
-    journaled via ``store``, cached via ``cache`` -- a ResultCache,
-    bare CacheBackend, or root path -- streamed through ``progress``,
-    cooperatively cancelled on ``fail_fast``; ``listen``/``priority``/
-    ``window`` feed the remote-worker dispatcher)."""
-    from repro.service.backends import as_result_cache
-    from repro.service.job import Job
-
-    cache = as_result_cache(cache)
+    service-layer job; ``service`` takes
+    :func:`~repro.service.job.run_study`'s keywords (``jobs``, ``store``,
+    ``cache``, ``progress``, ``fail_fast``, ...)."""
     points = [{"strategy": s, "transport": t, "discipline": d, "load": load,
                "topology": topology, "n_nodes": n_nodes, "messages": messages,
                "nbytes": nbytes, "bg_horizon_ns": bg_horizon_ns, "seed": seed}
@@ -341,24 +310,5 @@ def run_congestion_campaign(loads: Sequence[float] = CONGESTION_LOADS,
               for d in disciplines
               for t in transports
               for s in strategies]
-    if not points:
-        raise ValueError("empty campaign: no load/discipline/transport axis")
-    job = Job.from_sweep(Sweep(CongestionExperiment(), points=points),
-                         config=config, cache=cache, store=store,
-                         checkpoint=checkpoint, priority=priority)
-    if listen is not None:
-        host, port = job.listen(listen)
-        print(f"job {job.id} listening on {host}:{port} -- join with: "
-              f"python -m repro worker serve --connect {host}:{port}",
-              flush=True)
-
-    def on_point(event) -> None:
-        if progress is not None:
-            progress(event)
-        if fail_fast and not event.record.metrics["ok"]:
-            job.cancel()
-
-    records = job.run(jobs=jobs, progress=on_point, window=window)
-    return CongestionReport(
-        records=[r for r in records if r is not None],
-        cache_stats=cache.stats() if cache is not None else None)
+    return run_study(CongestionReport, CongestionExperiment(), points,
+                     **service)

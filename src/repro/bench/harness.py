@@ -96,17 +96,9 @@ def _peak_rss_kb() -> Optional[int]:
     return int(rss // 1024) if sys.platform == "darwin" else int(rss)
 
 
-def measure_workload(name: str, repeat: int):
-    """Time one workload ``repeat`` times; returns a ``RunRecord``.
-
-    This is the service layer's ``"bench"`` runner kernel (the record
-    shape is what the job journal persists): ``metrics["events"]`` is
-    the event count of the last run, ``metrics["wall_s"]`` every raw
-    wall time.  Timings are never cached -- they are measurements of
-    this machine, not of the simulation.
-    """
-    from repro.runtime.record import RunRecord
-
+def measure_workload(name: str, repeat: int) -> WorkloadResult:
+    """Time one workload ``repeat`` times; ``events`` is the event count
+    of the last run."""
     fn = WORKLOADS[name]
     events = 0
     walls: List[float] = []
@@ -115,10 +107,8 @@ def measure_workload(name: str, repeat: int):
         t0 = time.perf_counter()
         events = fn()
         walls.append(time.perf_counter() - t0)
-    return RunRecord(experiment="bench",
-                     params={"workload": name, "repeat": repeat},
-                     config_fingerprint="bench",
-                     metrics={"events": int(events), "wall_s": walls})
+    return WorkloadResult(name=name, events=int(events),
+                          best_wall_s=min(walls), wall_s=walls)
 
 
 def compare_to_baseline(report: BenchReport, baseline: Dict[str, object],
@@ -155,15 +145,10 @@ def compare_to_baseline(report: BenchReport, baseline: Dict[str, object],
 
 
 def run_bench(workloads: Optional[Iterable[str]] = None, repeat: int = 3,
-              quiet: bool = False, store=None) -> BenchReport:
-    """Run the selected ``workloads`` (default: all) ``repeat`` times each.
-
-    A thin client of :mod:`repro.service`: the bench is one job with one
-    point per workload, always executed inline (timings must not pay
-    fork overhead).  Pass ``store`` (a JobStore or path) to journal it;
-    an interrupted bench then resumes with the already-measured
-    workloads replayed from the journal instead of re-timed.
-    """
+              quiet: bool = False) -> BenchReport:
+    """Run the selected ``workloads`` (default: all) ``repeat`` times each,
+    inline in this process: timings must not pay fork, pickle or
+    journal overhead."""
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
     picks = list(workloads) if workloads is not None else list(WORKLOADS)
@@ -171,25 +156,14 @@ def run_bench(workloads: Optional[Iterable[str]] = None, repeat: int = 3,
     if unknown:
         raise ValueError(
             f"unknown workload(s) {unknown}; available: {list(WORKLOADS)}")
-    from repro.service.job import Job
-
     report = BenchReport(repeat=repeat)
-
-    def on_point(event) -> None:
-        m = event.record.metrics
-        result = WorkloadResult(name=event.record.params["workload"],
-                                events=int(m["events"]),
-                                best_wall_s=min(m["wall_s"]),
-                                wall_s=list(m["wall_s"]))
+    for name in picks:
+        result = measure_workload(name, repeat)
         report.results.append(result)
         if not quiet:
-            replayed = " (journal)" if event.source == "journal" else ""
             print(f"{result.name:<12} events={result.events:>9,} "
                   f"best={result.best_wall_s:.3f}s "
-                  f"rate={result.events_per_sec:>12,.0f} ev/s{replayed}")
-
-    Job.from_bench(picks, repeat=repeat, store=store).run(
-        jobs=1, progress=on_point)
+                  f"rate={result.events_per_sec:>12,.0f} ev/s")
     report.peak_rss_kb = _peak_rss_kb()
     if not quiet and report.peak_rss_kb is not None:
         print(f"peak rss    {report.peak_rss_kb:,} KiB")

@@ -30,16 +30,17 @@ A run ends in one of four ways:
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import (FaultConfig, LinkFlap, NicStall, ReliabilityConfig,
                           SystemConfig)
 from repro.nic.transport import TransportError
-from repro.runtime.experiment import Experiment
 from repro.runtime.record import RunRecord
-from repro.runtime.sweep import Sweep
+from repro.service.job import run_study
 from repro.sim.rng import RandomStreams
+from repro.validate.fuzz import (CaseExperiment, FuzzReport, _app_ok,
+                                 _workload_experiment)
 from repro.validate.monitors import (ReliableDeliveryMonitor, attach_monitors,
                                      default_monitors)
 from repro.validate.violations import InvariantViolation
@@ -72,20 +73,6 @@ class FaultCase:
     faults: FaultConfig
     reliability: ReliabilityConfig
     limit_ns: int = CASE_LIMIT_NS
-
-
-def _workload_experiment(workload: str) -> Experiment:
-    if workload == "microbench":
-        from repro.apps.microbench import MicrobenchExperiment
-        return MicrobenchExperiment()
-    if workload == "jacobi":
-        from repro.apps.jacobi import JacobiExperiment
-        return JacobiExperiment()
-    if workload == "allreduce":
-        from repro.collectives import AllreduceExperiment
-        return AllreduceExperiment()
-    raise KeyError(f"unknown fault workload {workload!r}; "
-                   f"choose from {list(FAULT_WORKLOADS)}")
 
 
 def fault_case(workload: str, seed: int) -> FaultCase:
@@ -146,7 +133,7 @@ def fault_case(workload: str, seed: int) -> FaultCase:
                      faults=FaultConfig(**faults_kw), reliability=reliability)
 
 
-class FaultsExperiment(Experiment):
+class FaultsExperiment(CaseExperiment):
     """One fault case as a runtime experiment.
 
     Parameters are just ``{"workload", "seed"}`` -- the whole scenario is
@@ -156,11 +143,6 @@ class FaultsExperiment(Experiment):
 
     name = "faults"
     defaults = {"workload": "microbench", "seed": 0}
-
-    def trace_default(self, params: Dict[str, Any]) -> bool:
-        # Violations snapshot the tracer tail; drop/retransmit/nack rows
-        # also feed the Perfetto export.  Fault workloads are small.
-        return True
 
     def build_cluster(self, params: Dict[str, Any], config: SystemConfig,
                       trace: bool):
@@ -265,60 +247,14 @@ class FaultsExperiment(Experiment):
             and (metrics["app_ok"] or gave_up))
         return metrics, violation
 
-    def execute(self, params=None, config=None, trace=None, *,
-                observers=None, checkpoint=None):
-        # Campaign records must stay lean: drop the per-run span table
-        # (the tracer itself stays on for violation context and the
-        # drop/retransmit trace points).
-        execution = super().execute(params, config, trace,
-                                    observers=observers,
-                                    checkpoint=checkpoint)
-        execution.record.spans = ()
-        return execution
 
-
-def _app_ok(inner_metrics: Dict[str, Any]) -> bool:
-    """Application-level correctness, from whichever flag the workload
-    reports (payload pattern, Allreduce data check, grid digest)."""
-    for key in ("payload_ok", "correct"):
-        if key in inner_metrics:
-            return bool(inner_metrics[key])
-    return "grid_sha256" in inner_metrics
-
-
-@dataclass
-class FaultsReport:
-    """Outcome of one campaign: per-case records plus failure rollups."""
-
-    records: List[RunRecord] = field(default_factory=list)
-    #: ``{"hits", "misses"}`` of the campaign's ResultCache, or ``None``
-    #: when the campaign ran uncached.
-    cache_stats: Optional[Dict[str, int]] = None
-
-    @property
-    def total(self) -> int:
-        return len(self.records)
-
-    @property
-    def failures(self) -> List[RunRecord]:
-        return [r for r in self.records if not r.metrics["ok"]]
+class FaultsReport(FuzzReport):
+    """Outcome of one campaign: per-case records plus failure and
+    give-up rollups."""
 
     @property
     def gave_up(self) -> List[RunRecord]:
         return [r for r in self.records if r.metrics["gave_up"]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def by_workload(self) -> Dict[str, Tuple[int, int]]:
-        """``workload -> (passed, total)``."""
-        out: Dict[str, Tuple[int, int]] = {}
-        for r in self.records:
-            w = r.metrics["workload"]
-            passed, total = out.get(w, (0, 0))
-            out[w] = (passed + (1 if r.metrics["ok"] else 0), total + 1)
-        return out
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON report: summary plus one row per case (spans excluded)."""
@@ -344,49 +280,17 @@ class FaultsReport:
 
 
 def run_faults_campaign(workloads: Sequence[str] = FAULT_WORKLOADS,
-                        seeds: int = 25, seed_start: int = 0, jobs: int = 1,
-                        config: Optional[SystemConfig] = None,
-                        fail_fast: bool = False, cache: Optional[Any] = None,
-                        store: Optional[Any] = None,
-                        progress: Optional[Any] = None,
-                        checkpoint: Optional[Any] = None,
-                        listen: Optional[Any] = None, priority: int = 0,
-                        window: Optional[int] = None) -> FaultsReport:
+                        seeds: int = 25, seed_start: int = 0,
+                        **service: Any) -> FaultsReport:
     """Run ``seeds`` fault cases per workload, all monitors armed.
 
-    The campaign is one :class:`repro.service.Job`: pass ``store`` (a
-    :class:`~repro.service.store.JobStore` or path) to journal it --
-    killing the campaign then resuming re-runs only incomplete cases --
-    and ``cache`` to reuse case records across campaigns.  ``progress``
-    receives one :class:`~repro.service.job.PointDone` per finished case.
-    With ``fail_fast`` the first failing case cancels the job
-    cooperatively: no new cases are dispatched, in-flight cases still
-    finish, so parallel results stay deterministic.
+    The campaign is one :class:`repro.service.Job`; ``service`` takes
+    :func:`~repro.service.job.run_study`'s keywords (``jobs``, ``store``,
+    ``cache``, ``progress``, ``fail_fast``, ...).
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
-    from repro.service.backends import as_result_cache
-    from repro.service.job import Job
-
-    cache = as_result_cache(cache)
     points = [{"workload": w, "seed": s}
               for w in workloads
               for s in range(seed_start, seed_start + seeds)]
-    job = Job.from_sweep(Sweep(FaultsExperiment(), points=points),
-                         config=config, cache=cache, store=store,
-                         checkpoint=checkpoint, priority=priority)
-    if listen is not None:
-        host, port = job.listen(listen)
-        print(f"job {job.id} listening on {host}:{port} -- join with: "
-              f"python -m repro worker serve --connect {host}:{port}",
-              flush=True)
-
-    def on_point(event) -> None:
-        if progress is not None:
-            progress(event)
-        if fail_fast and not event.record.metrics["ok"]:
-            job.cancel()
-
-    records = job.run(jobs=jobs, progress=on_point, window=window)
-    return FaultsReport(records=[r for r in records if r is not None],
-                        cache_stats=cache.stats() if cache is not None else None)
+    return run_study(FaultsReport, FaultsExperiment(), points, **service)

@@ -29,10 +29,11 @@ points that never finished.
   preemption (:class:`~repro.service.job.JobPreempted`), journal +
   cache + execute resolution in point order.
 
-``Sweep.run``, the validate/faults campaign drivers and ``repro bench``
-are all thin clients of this layer; records stay byte-identical to the
-pre-service serial paths -- and to local-only runs when remote workers
-join.
+``Sweep.run`` and :func:`~repro.service.job.run_study` -- the one
+campaign driver behind the validate, faults, topo and congestion
+studies -- are thin clients of this layer; records stay byte-identical
+to the pre-service serial paths -- and to local-only runs when remote
+workers join.
 """
 
 from repro.service.backends import (CacheBackend, LocalDirBackend,
@@ -41,13 +42,11 @@ from repro.service.job import Job, JobPreempted, PointDone
 from repro.service.queue import GATE, PriorityGate, WorkQueue
 from repro.service.remote import (HandshakeRejected, RemoteDispatcher,
                                   serve_worker)
-from repro.service.runners import (BenchRunner, SweepRunner, get_runner,
-                                   register_runner)
+from repro.service.runners import SweepRunner, get_runner, register_runner
 from repro.service.spec import JobSpec
 from repro.service.store import JobStore, SubmitThrottled, default_jobs_dir
 
 __all__ = [
-    "BenchRunner",
     "CacheBackend",
     "GATE",
     "HandshakeRejected",

@@ -26,20 +26,24 @@ import queue as _queue
 import signal
 import threading
 import time
-from dataclasses import dataclass, replace
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from dataclasses import dataclass, field, replace
+from typing import (Any, Callable, ClassVar, Dict, Iterator, List, Optional,
+                    Sequence, Tuple, Type, TypeVar, Union)
 
 from repro.checkpoint import CheckpointConfig
 from repro.config import SystemConfig, default_config
 from repro.runtime.cache import ResultCache
+from repro.runtime.experiment import Experiment
 from repro.runtime.record import RunRecord, config_fingerprint
+from repro.runtime.sweep import Sweep
+from repro.service.backends import as_result_cache
 from repro.service.queue import WorkQueue
 from repro.service.runners import SweepRunner, SweepState, get_runner
 from repro.service.spec import JobSpec
 from repro.service.store import JobStore, _maybe_store
 
-__all__ = ["Job", "JobPreempted", "PointDone"]
+__all__ = ["CampaignReport", "Job", "JobPreempted", "PointDone",
+           "drive_study", "run_study"]
 
 
 @dataclass(frozen=True)
@@ -145,19 +149,6 @@ class Job:
         state = SweepState(experiment=sweep.experiment, config=config,
                            cache=cache, checkpoint=checkpoint)
         return cls(spec, store=store, state=state, priority=priority)
-
-    @classmethod
-    def from_bench(cls, workloads: Sequence[str], repeat: int,
-                   store: Union[JobStore, str, None] = None) -> "Job":
-        """Wrap a :mod:`repro.bench` run (one point per workload)."""
-        spec = JobSpec(
-            runner="bench",
-            experiment="bench",
-            points=tuple({"workload": w, "repeat": repeat} for w in workloads),
-            config_fingerprint="bench",
-            payload=b"",
-        )
-        return cls(spec, store=store)
 
     @classmethod
     def load(cls, store: Union[JobStore, str, None], job_id: str) -> "Job":
@@ -397,3 +388,101 @@ class Job:
                 if signal.getsignal(sig) is on_signal:
                     signal.signal(sig, old)
         return restore
+
+
+# ------------------------------------------------------------------ campaigns
+@dataclass
+class CampaignReport:
+    """The records of one campaign plus its pass/fail rollup.
+
+    A study's report names the metric that decides whether a point
+    passed (``ok_key``); the driver's fail-fast check reads the same key.
+    """
+
+    ok_key: ClassVar[str] = "ok"
+
+    records: List[RunRecord] = field(default_factory=list)
+    #: ``{"hits", "misses"}`` of the campaign's ResultCache, or ``None``
+    #: when the campaign ran uncached.
+    cache_stats: Optional[Dict[str, int]] = None
+    #: The points the campaign was asked to run (a fail-fast cancel
+    #: leaves ``records`` shorter).
+    points: Sequence[Dict[str, Any]] = ()
+
+    @classmethod
+    def passed(cls, record: RunRecord) -> bool:
+        return bool(record.metrics[cls.ok_key])
+
+    @property
+    def total(self) -> int:
+        return len(self.records)
+
+    @property
+    def failures(self) -> List[RunRecord]:
+        return [r for r in self.records if not self.passed(r)]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+R = TypeVar("R", bound=CampaignReport)
+
+
+def run_study(report: Type[R], experiment: Experiment,
+              points: Sequence[Dict[str, Any]], *, jobs: int = 1,
+              config: Optional[SystemConfig] = None, fail_fast: bool = False,
+              cache: Any = None, store: Union[JobStore, str, None] = None,
+              progress: Optional[Progress] = None,
+              checkpoint: Union[CheckpointConfig, int, None] = None,
+              listen: Union[int, str, Tuple[str, int], None] = None,
+              priority: int = 0, window: Optional[int] = None) -> R:
+    """Run ``experiment`` over ``points`` as one job; the one campaign
+    driver behind the validate, faults, topo and congestion studies.
+
+    * ``store`` (a :class:`JobStore` or path) journals the job: killing
+      the campaign and resubmitting it re-runs only incomplete points;
+    * ``cache`` (a ResultCache, a bare CacheBackend or a root path)
+      reuses point records across campaigns;
+    * ``progress`` receives one :class:`PointDone` per resolved point;
+    * ``fail_fast`` cancels the job cooperatively on the first point
+      that fails ``report.ok_key``: no new points are dispatched,
+      in-flight points still finish, so parallel results stay
+      deterministic;
+    * ``checkpoint``, ``priority``, ``listen`` and ``window`` are
+      :meth:`Job.from_sweep`'s, :meth:`Job.listen`'s and
+      :meth:`Job.run`'s.
+    """
+    if not points:
+        raise ValueError("empty campaign: no points to run")
+    cache = as_result_cache(cache)
+    job = Job.from_sweep(Sweep(experiment, points=points), config=config,
+                         cache=cache, store=store, checkpoint=checkpoint,
+                         priority=priority)
+    records = drive_study(job, report, jobs=jobs, fail_fast=fail_fast,
+                          progress=progress, listen=listen, window=window)
+    return report(records=records,
+                  cache_stats=cache.stats() if cache is not None else None,
+                  points=points)
+
+
+def drive_study(job: Job, report: Type[CampaignReport], *, jobs: int = 1,
+                fail_fast: bool = False, progress: Optional[Progress] = None,
+                listen: Union[int, str, Tuple[str, int], None] = None,
+                window: Optional[int] = None) -> List[RunRecord]:
+    """Run a fresh or reloaded campaign job; returns its completed
+    records in point order (a fail-fast cancel drops the holes)."""
+    if listen is not None:
+        host, port = job.listen(listen)
+        print(f"job {job.id} listening on {host}:{port} -- join with: "
+              f"python -m repro worker serve --connect {host}:{port}",
+              flush=True)
+
+    def on_point(event: PointDone) -> None:
+        if progress is not None:
+            progress(event)
+        if fail_fast and not report.passed(event.record):
+            job.cancel()
+
+    records = job.run(jobs=jobs, progress=on_point, window=window)
+    return [r for r in records if r is not None]

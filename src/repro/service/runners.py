@@ -8,16 +8,12 @@ handshake welcome for remote ones -- and sends only ``(index, point)``
 per task, so a 1024-point sweep pickles its experiment and config once
 per worker instead of 1024 times.
 
-Two runners exist:
-
-* ``"sweep"`` -- runs an :class:`~repro.runtime.experiment.Experiment`
-  at one parameter point and write-through-puts the record into the
-  :class:`~repro.runtime.cache.ResultCache` *from the worker* (crash-safe:
-  puts are atomic temp-file + rename, so a worker killed mid-write never
-  leaves a readable torn entry);
-* ``"bench"`` -- times one :mod:`repro.bench` workload in-process
-  (always executed inline, never forked: wall-clock timings must not pay
-  pool overhead).
+The built-in runner, ``"sweep"``, runs an
+:class:`~repro.runtime.experiment.Experiment` at one parameter point and
+write-through-puts the record into the
+:class:`~repro.runtime.cache.ResultCache` *from the worker* (crash-safe:
+puts are atomic temp-file + rename, so a worker killed mid-write never
+leaves a readable torn entry).
 
 Runners are registered by name (:func:`register_runner`) so a journaled
 job can be resumed -- or a remote worker recruited -- by a fresh process
@@ -36,7 +32,7 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.experiment import Experiment
 from repro.runtime.record import RunRecord
 
-__all__ = ["BenchRunner", "SweepRunner", "get_runner", "register_runner"]
+__all__ = ["SweepRunner", "get_runner", "register_runner"]
 
 
 # --------------------------------------------------------------------- sweep
@@ -126,35 +122,7 @@ class SweepRunner:
         return record, source
 
 
-# --------------------------------------------------------------------- bench
-class BenchRunner:
-    """One :mod:`repro.bench` workload timed ``point["repeat"]`` times."""
-
-    name = "bench"
-
-    @staticmethod
-    def payload_from_state(state: None) -> bytes:
-        return b""
-
-    @staticmethod
-    def init(payload: bytes) -> None:
-        return None
-
-    @staticmethod
-    def lookup(state: None, point: Dict[str, Any]) -> Optional[RunRecord]:
-        return None  # timings are never cacheable
-
-    @staticmethod
-    def run(state: None, index: int,
-            point: Dict[str, Any]) -> Tuple[RunRecord, str]:
-        # Imported lazily: repro.bench.harness is a *client* of the
-        # service layer, so the module-level dependency points the other
-        # way and would be circular here.
-        from repro.bench.harness import measure_workload
-        return measure_workload(point["workload"], point["repeat"]), "run"
-
-
-_RUNNERS = {SweepRunner.name: SweepRunner, BenchRunner.name: BenchRunner}
+_RUNNERS = {SweepRunner.name: SweepRunner}
 
 
 def get_runner(name: str):

@@ -22,13 +22,12 @@ timing constants produce.  The fuzzer explores that space directly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.runtime.experiment import Experiment
-from repro.runtime.record import RunRecord
-from repro.runtime.sweep import Sweep
+from repro.service.job import CampaignReport, run_study
 from repro.sim.rng import RandomStreams
 from repro.validate.monitors import attach_monitors
 from repro.validate.violations import InvariantViolation
@@ -70,7 +69,7 @@ def _workload_experiment(workload: str) -> Experiment:
     if workload == "allreduce":
         from repro.collectives import AllreduceExperiment
         return AllreduceExperiment()
-    raise KeyError(f"unknown fuzz workload {workload!r}; "
+    raise KeyError(f"unknown workload {workload!r}; "
                    f"choose from {list(FUZZ_WORKLOADS)}")
 
 
@@ -143,7 +142,28 @@ def apply_knobs(config: SystemConfig, knobs: Dict[str, int]) -> SystemConfig:
     )
 
 
-class ValidateExperiment(Experiment):
+class CaseExperiment(Experiment):
+    """A seeded campaign case wrapping one of the paper's workloads.
+
+    Cases run traced -- violations snapshot the tracer tail as context,
+    and the workloads are small enough that tracing is cheap -- but their
+    records stay lean: a campaign is hundreds of runs, so the per-run
+    span table the tracer accumulated is dropped.
+    """
+
+    def trace_default(self, params: Dict[str, Any]) -> bool:
+        return True
+
+    def execute(self, params=None, config=None, trace=None, *,
+                observers=None, checkpoint=None):
+        execution = super().execute(params, config, trace,
+                                    observers=observers,
+                                    checkpoint=checkpoint)
+        execution.record.spans = ()
+        return execution
+
+
+class ValidateExperiment(CaseExperiment):
     """One fuzz case as a runtime experiment.
 
     Parameters are just ``{"workload", "seed"}`` -- everything else is
@@ -159,11 +179,6 @@ class ValidateExperiment(Experiment):
                   config: SystemConfig) -> SystemConfig:
         case = fuzz_case(params["workload"], params["seed"])
         return apply_knobs(config, case.knobs)
-
-    def trace_default(self, params: Dict[str, Any]) -> bool:
-        # Violations snapshot the tracer tail as context; the fuzz
-        # workloads are small enough that tracing is cheap.
-        return True
 
     def build_cluster(self, params: Dict[str, Any], config: SystemConfig,
                       trace: bool):
@@ -228,17 +243,6 @@ class ValidateExperiment(Experiment):
                              and metrics["app_ok"] and hazards == 0)
         return metrics, violation
 
-    def execute(self, params=None, config=None, trace=None, *,
-                observers=None, checkpoint=None):
-        # Fuzz records must stay lean: a campaign is hundreds of runs, so
-        # drop the per-run span table the tracer accumulated (the tracer
-        # itself stays on for violation context).
-        execution = super().execute(params, config, trace,
-                                    observers=observers,
-                                    checkpoint=checkpoint)
-        execution.record.spans = ()
-        return execution
-
 
 def _app_ok(inner_metrics: Dict[str, Any]) -> bool:
     """Application-level correctness, from whichever flag the workload
@@ -249,26 +253,8 @@ def _app_ok(inner_metrics: Dict[str, Any]) -> bool:
     return "grid_sha256" in inner_metrics
 
 
-@dataclass
-class FuzzReport:
+class FuzzReport(CampaignReport):
     """Outcome of one campaign: per-case records plus failure rollups."""
-
-    records: List[RunRecord] = field(default_factory=list)
-    #: ``{"hits", "misses"}`` of the campaign's ResultCache, or ``None``
-    #: when the campaign ran uncached.
-    cache_stats: Optional[Dict[str, int]] = None
-
-    @property
-    def total(self) -> int:
-        return len(self.records)
-
-    @property
-    def failures(self) -> List[RunRecord]:
-        return [r for r in self.records if not r.metrics["ok"]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def by_workload(self) -> Dict[str, Tuple[int, int]]:
         """``workload -> (passed, total)``."""
@@ -276,7 +262,7 @@ class FuzzReport:
         for r in self.records:
             w = r.metrics["workload"]
             passed, total = out.get(w, (0, 0))
-            out[w] = (passed + (1 if r.metrics["ok"] else 0), total + 1)
+            out[w] = (passed + (1 if self.passed(r) else 0), total + 1)
         return out
 
     def to_dict(self) -> Dict[str, Any]:
@@ -301,49 +287,17 @@ class FuzzReport:
 
 
 def run_campaign(workloads: Sequence[str] = FUZZ_WORKLOADS,
-                 seeds: int = 100, seed_start: int = 0, jobs: int = 1,
-                 config: Optional[SystemConfig] = None,
-                 fail_fast: bool = False, cache: Optional[Any] = None,
-                 store: Optional[Any] = None,
-                 progress: Optional[Any] = None,
-                 checkpoint: Optional[Any] = None,
-                 listen: Optional[Any] = None, priority: int = 0,
-                 window: Optional[int] = None) -> FuzzReport:
+                 seeds: int = 100, seed_start: int = 0,
+                 **service: Any) -> FuzzReport:
     """Run ``seeds`` fuzz cases per workload, all monitors armed.
 
-    The campaign is one :class:`repro.service.Job`: pass ``store`` (a
-    :class:`~repro.service.store.JobStore` or path) to journal it --
-    killing the campaign then resuming re-runs only incomplete cases --
-    and ``cache`` to reuse case records across campaigns.  ``progress``
-    receives one :class:`~repro.service.job.PointDone` per finished case.
-    With ``fail_fast`` the first failing case cancels the job
-    cooperatively: no new cases are dispatched, in-flight cases still
-    finish, so parallel results stay deterministic.
+    The campaign is one :class:`repro.service.Job`; ``service`` takes
+    :func:`~repro.service.job.run_study`'s keywords (``jobs``, ``store``,
+    ``cache``, ``progress``, ``fail_fast``, ...).
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
-    from repro.service.backends import as_result_cache
-    from repro.service.job import Job
-
-    cache = as_result_cache(cache)
     points = [{"workload": w, "seed": s}
               for w in workloads
               for s in range(seed_start, seed_start + seeds)]
-    job = Job.from_sweep(Sweep(ValidateExperiment(), points=points),
-                         config=config, cache=cache, store=store,
-                         checkpoint=checkpoint, priority=priority)
-    if listen is not None:
-        host, port = job.listen(listen)
-        print(f"job {job.id} listening on {host}:{port} -- join with: "
-              f"python -m repro worker serve --connect {host}:{port}",
-              flush=True)
-
-    def on_point(event) -> None:
-        if progress is not None:
-            progress(event)
-        if fail_fast and not event.record.metrics["ok"]:
-            job.cancel()
-
-    records = job.run(jobs=jobs, progress=on_point, window=window)
-    return FuzzReport(records=[r for r in records if r is not None],
-                      cache_stats=cache.stats() if cache is not None else None)
+    return run_study(FuzzReport, ValidateExperiment(), points, **service)

@@ -89,10 +89,6 @@ class TestCampaign:
         assert doc["ok"] and doc["total"] == 2
         assert doc["cases"][0]["strategies"]["gputn"]["delivered"] == 4
 
-    def test_empty_axes_rejected(self):
-        with pytest.raises(ValueError, match="empty campaign"):
-            run_congestion_campaign(loads=[])
-
     def test_resubmit_hits_cache(self, tmp_path):
         """Every point sits on a fat tree configure() wrote in, yet a
         resubmission (fresh store, same cache root) runs none of them."""

@@ -45,10 +45,6 @@ class TestTopoCampaign:
         assert doc["total"] == small_grid.total and doc["ok"]
         json.dumps(doc)  # serializable
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            run_topo_campaign(topologies=(), node_counts=(4,))
-
     def test_defaults_are_sane(self):
         assert set(TOPO_STRATEGIES) == {"gputn", "gds", "hdn"}
         assert "halving-doubling" in TOPO_SCHEDULES

@@ -78,13 +78,6 @@ class TestCampaign:
                               seed_start=40, jobs=1)
         assert [r.metrics["seed"] for r in report.records] == [40, 41]
 
-    def test_fail_fast_stops_scheduling_batches(self, monkeypatch):
-        monkeypatch.setattr(fuzz_mod, "_app_ok", lambda metrics: False)
-        report = run_campaign(workloads=("microbench",), seeds=30, jobs=1,
-                              fail_fast=True)
-        assert not report.ok
-        assert report.total < 30  # stopped after the first failing batch
-
     def test_report_to_dict_is_json_safe(self):
         report = run_campaign(workloads=("microbench",), seeds=2, jobs=1)
         doc = json.loads(json.dumps(report.to_dict()))
