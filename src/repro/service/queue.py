@@ -15,24 +15,31 @@ drives it through two callbacks:
   at a journaled boundary.
 
 Execution is a single bounded-window dispatcher over a heterogeneous
-worker set: per-point task endpoints that are either forked local
-processes (:class:`_LocalWorker`) or TCP-connected remote workers
+worker set: task endpoints that are either forked local processes
+(:class:`_LocalWorker`) or TCP-connected remote workers
 (:class:`~repro.service.remote.RemoteEndpoint`, adopted live from a
-:class:`~repro.service.remote.RemoteDispatcher` as they connect).  The
-window -- at most ``window`` points outstanding across all endpoints --
-is what gives ``should_stop`` its bite *and* what bounds submission
-memory: a cancel request stops the queue within one window, not after
-the whole grid, and a million-point campaign never materializes more
-than a window of in-flight work.
+:class:`~repro.service.remote.RemoteDispatcher` as they connect).  Each
+endpoint has ``capacity`` slots: up to two points in flight per local
+worker (one running, the next already queued in its task pipe, so the
+worker never idles while the parent journals a result), one per remote
+worker.  The dispatcher refills a freed slot *before* reporting the
+finished point through ``on_done``.  The window -- at most ``window``
+points outstanding across all endpoints -- is what gives
+``should_stop`` its bite *and* what bounds submission memory: a cancel
+request stops the queue within one window, not after the whole grid,
+and a million-point campaign never materializes more than a window of
+in-flight work.
 
 Fault model: endpoints die (a local worker SIGKILLed, a remote
-connection dropped).  The dispatcher buries the endpoint, requeues its
-in-flight point at the *front* of the todo deque, and reissues it to
-the next free endpoint -- at most :data:`MAX_POINT_ATTEMPTS` times, so
-a poison point that kills every worker it touches fails the job instead
-of looping forever.  A completion that raced the death notice (record
-already on the wire when the worker died) is deduplicated by index:
-each point is reported through ``on_done`` exactly once.
+connection dropped).  The dispatcher buries the endpoint and requeues
+its in-flight points at the *front* of the todo deque.  Only the head
+of the endpoint's FIFO -- the point it was running -- counts as an
+attempt and a reissue; the points queued behind it never started and go
+back uncounted.  A point that has killed :data:`MAX_POINT_ATTEMPTS`
+workers fails the job as a poison point instead of looping forever.  A completion that raced the death
+notice (record already on the wire when the worker died) is
+deduplicated by index: each point is reported through ``on_done``
+exactly once.
 
 Priorities preempt at point granularity through the process-wide
 :data:`GATE`: while any strictly-higher-priority job is executing in
@@ -117,20 +124,54 @@ GATE = PriorityGate()
 
 
 # ------------------------------------------------------------- local endpoint
+class _ResultPipe:
+    """The local workers' shared results channel (many writers, one reader).
+
+    Unlike ``multiprocessing.Queue``, whose ``put`` hands the item to a
+    feeder thread, ``put`` returns only once the item is in the pipe.  A
+    worker SIGKILLed on the point queued behind a finished one therefore
+    cannot take the finished record down with it, which is what lets the
+    dispatcher blame the head of a dead worker's FIFO.
+    """
+
+    def __init__(self) -> None:
+        self._reader, self._writer = multiprocessing.Pipe(duplex=False)
+        self._lock = multiprocessing.Lock()
+
+    def put(self, item: Any) -> None:
+        with self._lock:
+            self._writer.send(item)
+
+    def get(self, timeout: float) -> Any:
+        if not self._reader.poll(timeout):
+            raise _queue.Empty
+        return self._reader.recv()
+
+    def close(self) -> None:
+        self._reader.close()
+        self._writer.close()
+
+
 class _LocalWorker:
     """A forked worker process behind the endpoint interface.
 
     Same contract as :class:`repro.service.remote.RemoteEndpoint`:
-    ``capacity`` concurrent tasks (always 1), ``send_task``, ``alive``,
-    ``shutdown``.  Results land on the shared ``results`` queue in the
+    ``capacity`` concurrent tasks, ``send_task``, ``alive``,
+    ``shutdown``.  Results land on the shared ``results`` pipe in the
     unified item shape (see :func:`~repro.service.runners._worker_main`).
+
+    ``capacity`` is 2: the worker runs one point while the next waits in
+    its task pipe, so it never idles on the parent's round trip (drain,
+    journal fsync, progress) between points.  A remote endpoint stays at
+    1 because its mid-task cache frames share the socket with task
+    frames.
     """
 
     kind = "local"
-    capacity = 1
+    capacity = 2
 
     def __init__(self, wid: int, runner_name: str, payload: bytes,
-                 results: multiprocessing.Queue):
+                 results: _ResultPipe):
         self.wid = wid
         self._tasks: multiprocessing.SimpleQueue = multiprocessing.SimpleQueue()
         self._proc = multiprocessing.Process(
@@ -166,9 +207,9 @@ class WorkQueue:
     ``jobs`` local workers (``0`` = none: remote-only) are mixed with
     whatever remote endpoints the optional ``remote`` dispatcher has
     accepted, behind one bounded window of ``window`` in-flight points
-    (default ``max(4, 2 * jobs)``).  ``stats`` tallies, per execution,
-    how many points each worker kind completed and how many were
-    reissued after an endpoint death.
+    (default ``max(4, 2 * jobs)``: both slots of every local worker).
+    ``stats`` tallies, per execution, how many points each worker kind
+    completed and how many were reissued after an endpoint death.
     """
 
     def __init__(self, runner: Any, state: Any, runner_name: str,
@@ -243,23 +284,26 @@ class WorkQueue:
         todo: deque = deque(pending)
         emitted: set = set()           # indices already reported via on_done
         attempts: Dict[int, int] = {}  # index -> dispatch count
-        inflight: Dict[int, int] = {}  # wid -> index
+        inflight: Dict[int, deque] = {}  # wid -> FIFO of dispatched indices
         endpoints: Dict[int, Any] = {}  # wid -> endpoint
-        free: deque = deque()          # wids with spare capacity
+        free: deque = deque()          # one wid per spare slot
         alloc_wid = itertools.count()
         error: Optional[BaseException] = None
 
-        # Local workers report on an mp.Queue; a drainer thread funnels
+        # Local workers report on one pipe; a drainer thread funnels
         # their items into the same thread-safe queue remote endpoint
         # readers use, so the main loop has a single source of truth.
-        mp_results: multiprocessing.Queue = multiprocessing.Queue()
+        mp_results = _ResultPipe()
         stop_drain = threading.Event()
 
         for _ in range(min(self.jobs, len(pending))):
             wid = next(alloc_wid)
             endpoints[wid] = _LocalWorker(wid, self.runner_name, self.payload,
                                           mp_results)
-            free.append(wid)
+        # Round-robin slots: a job of ``jobs`` points still puts one
+        # point on each worker before any worker gets a second.
+        for _ in range(_LocalWorker.capacity):
+            free.extend(endpoints)
 
         def _drain(waiting: set) -> None:
             # Runs until every local worker has said "bye"; once the
@@ -281,26 +325,68 @@ class WorkQueue:
                                    daemon=True, name="workqueue-drain")
         drainer.start()
 
+        def release(wid: int, index: int) -> None:
+            """``index`` left ``wid``'s FIFO: its slot is spare again."""
+            fifo = inflight.get(wid)
+            if fifo is None or index not in fifo:
+                return
+            fifo.remove(index)
+            if not fifo:
+                del inflight[wid]
+            if wid in endpoints:
+                free.append(wid)
+
         def bury(wid: int) -> None:
-            """Remove a dead endpoint; requeue its in-flight point."""
+            """Remove a dead endpoint; requeue the points it held.
+
+            The head of its FIFO is the point it was running: that one
+            alone counts as an attempt and a reissue.  The never-started
+            tail goes back uncounted, right behind it."""
             nonlocal error
             endpoints.pop(wid, None)
-            try:
+            while wid in free:
                 free.remove(wid)
-            except ValueError:
-                pass
-            index = inflight.pop(wid, None)
-            if index is None or index in emitted:
+            fifo = inflight.pop(wid, None)
+            if not fifo:
                 return
-            attempts[index] = attempts.get(index, 0) + 1
-            if attempts[index] >= MAX_POINT_ATTEMPTS:
+            running = fifo.popleft()
+            todo.extendleft(reversed(fifo))
+            if running in emitted:
+                return
+            attempts[running] = attempts.get(running, 0) + 1
+            if attempts[running] >= MAX_POINT_ATTEMPTS:
                 if error is None:
                     error = RuntimeError(
-                        f"point {index} killed {MAX_POINT_ATTEMPTS} workers; "
-                        f"giving up (poison point)")
+                        f"point {running} killed {MAX_POINT_ATTEMPTS} "
+                        f"workers; giving up (poison point)")
                 return
-            todo.appendleft(index)
+            todo.appendleft(running)
             self.stats["reissued"] += 1
+
+        def refill() -> bool:
+            """Fill spare slots from ``todo`` up to the window (unless
+            stopping or preempted); returns whether dispatch is stopping."""
+            stopping = error is not None or should_stop()
+            while (todo and free and not stopping
+                   and sum(map(len, inflight.values())) < window
+                   and GATE.clear(token)):
+                wid = free.popleft()
+                ep = endpoints.get(wid)
+                if ep is None or not ep.alive():
+                    bury(wid)
+                    continue
+                index = todo.popleft()
+                if index in emitted:
+                    free.appendleft(wid)
+                    continue
+                try:
+                    ep.send_task(index, points[index])
+                except (OSError, ValueError, ConnectionError):
+                    todo.appendleft(index)
+                    bury(wid)
+                    continue
+                inflight.setdefault(wid, deque()).append(index)
+            return stopping
 
         try:
             while True:
@@ -309,29 +395,9 @@ class WorkQueue:
                     for ep in self.remote.take_endpoints(
                             results, lambda: next(alloc_wid)):
                         endpoints[ep.wid] = ep
-                        free.append(ep.wid)
+                        free.extend([ep.wid] * ep.capacity)
 
-                stopping = error is not None or should_stop()
-
-                # Refill the dispatch window (unless stopping/preempted).
-                while (todo and free and not stopping
-                       and len(inflight) < window and GATE.clear(token)):
-                    wid = free.popleft()
-                    ep = endpoints.get(wid)
-                    if ep is None or not ep.alive():
-                        bury(wid)
-                        continue
-                    index = todo.popleft()
-                    if index in emitted:
-                        free.appendleft(wid)
-                        continue
-                    try:
-                        ep.send_task(index, points[index])
-                    except (OSError, ValueError, ConnectionError):
-                        todo.appendleft(index)
-                        bury(wid)
-                        continue
-                    inflight[wid] = index
+                stopping = refill()
 
                 if not inflight and (stopping or not todo):
                     break
@@ -352,15 +418,15 @@ class WorkQueue:
 
                 if kind == "done":
                     index, record, source = item
-                    if inflight.get(wid) == index:
-                        del inflight[wid]
-                        if wid in endpoints and wid not in free:
-                            free.append(wid)
+                    release(wid, index)
                     if index in emitted:
                         continue  # death-race duplicate: deterministic, skip
                     emitted.add(index)
                     ep = endpoints.get(wid)
                     self.stats[ep.kind if ep is not None else "local"] += 1
+                    # Top the worker's pipe up before on_done blocks in
+                    # the journal fsync: it never idles on the report.
+                    refill()
                     on_done(index, record, source)
                 elif kind == "err":
                     index, exc = item
@@ -371,10 +437,7 @@ class WorkQueue:
                             error = exc
                         bury(wid)
                         continue
-                    if inflight.get(wid) == index:
-                        del inflight[wid]
-                        if wid in endpoints and wid not in free:
-                            free.append(wid)
+                    release(wid, index)
                     if error is None:
                         error = exc
                 elif kind == "dead":
@@ -388,7 +451,6 @@ class WorkQueue:
                     ep.shutdown()
             stop_drain.set()
             drainer.join(timeout=2.0)
-            mp_results.cancel_join_thread()
             mp_results.close()
 
         if error is not None:

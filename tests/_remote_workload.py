@@ -56,3 +56,35 @@ class KamikazeRunner(SweepRunner):
                 flag.touch()
                 os.kill(os.getpid(), signal.SIGKILL)
         return SweepRunner.run(state, index, point)
+
+
+@register_runner
+class PoisonRunner(SweepRunner):
+    """A sweep runner that SIGKILLs its own process on *every* attempt
+    of a point carrying ``poison``: the poison point the dispatcher must
+    give up on after :data:`~repro.service.queue.MAX_POINT_ATTEMPTS`
+    deaths, blaming it and never a point queued behind it."""
+
+    name = "poison"
+
+    @staticmethod
+    def run(state, index, point):
+        point = dict(point)
+        if point.pop("poison", False):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return SweepRunner.run(state, index, point)
+
+
+@register_runner
+class PidRunner(SweepRunner):
+    """A sweep runner that writes the pid of the process running each
+    point to ``<pid_dir>/point-<index>``, outside the record."""
+
+    name = "pid"
+
+    @staticmethod
+    def run(state, index, point):
+        point = dict(point)
+        pid_dir = point.pop("pid_dir")
+        (Path(pid_dir) / f"point-{index}").write_text(str(os.getpid()))
+        return SweepRunner.run(state, index, point)

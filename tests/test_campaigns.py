@@ -78,6 +78,34 @@ def test_fail_fast_stops_dispatch_early(study, monkeypatch):
     assert stopped.total == 1 and not stopped.ok
 
 
+#: study -> a grid of at least eight points, for dispatched fail-fast.
+WIDE_GRIDS = {
+    "validate": dict(workloads=("microbench",), seeds=8),
+    "faults": dict(workloads=("microbench",), seeds=8),
+    "topo": dict(topologies=("star",), schedules=("ring",),
+                 strategies=("gputn", "gds", "hdn"), node_counts=(2, 3, 4),
+                 nbytes=4096),
+    "congestion": dict(loads=(0.2, 0.4, 0.6), disciplines=("drop-tail",),
+                       transports=("go-back-n",),
+                       strategies=("hdn", "gds", "gputn"), messages=2,
+                       bg_horizon_ns=10_000),
+}
+
+
+@pytest.mark.parametrize("study", sorted(WIDE_GRIDS))
+def test_fail_fast_stops_dispatch_early_with_workers(study, monkeypatch):
+    """Two forked workers (they inherit the patch) hold up to two points
+    each; fail-fast still stops within one window of the first failure."""
+    run, experiment, report_cls, _, _ = STUDIES[study]
+    _fail_every_point(monkeypatch, experiment, report_cls)
+    full = run(**WIDE_GRIDS[study], jobs=1)
+    assert full.total >= 8 and len(full.failures) == full.total
+    window = 4  # the default max(4, 2 * jobs): both slots of two workers
+    stopped = run(**WIDE_GRIDS[study], jobs=2, fail_fast=True)
+    assert 1 <= stopped.total <= 1 + window and not stopped.ok
+    assert stopped.total < full.total
+
+
 @pytest.mark.parametrize("study", sorted(STUDIES))
 def test_empty_point_list_rejected(study):
     run, _, _, _, empty = STUDIES[study]

@@ -292,6 +292,61 @@ class TestRemoteExecution:
         assert job.queue_stats["remote"] == 0
 
 
+# ------------------------------------------------------ local worker slots
+class TestLocalSlots:
+    """Each local worker holds two points: one running, one queued."""
+
+    @staticmethod
+    def _spec(runner, experiment, points):
+        cfg = default_config()
+        return JobSpec(
+            runner=runner, experiment=experiment.name, points=tuple(points),
+            config_fingerprint=config_fingerprint(cfg),
+            payload=pickle.dumps((experiment, cfg, None, None)))
+
+    def test_poison_point_is_blamed_not_its_queued_sibling(self):
+        """A point that kills every worker it touches fails the job by
+        its own index, although a sibling sat queued behind it in the
+        dead worker's pipe; only the running point's deaths count."""
+        import _remote_workload  # noqa: F401  (registers "poison")
+        from repro.service.queue import MAX_POINT_ATTEMPTS
+        from repro.service.runners import get_runner
+        # Slow siblings keep the liveness poll firing while points are
+        # still queued, so the reissued poison point lands in front of
+        # (or behind) a sibling on the next worker.
+        points = [{"nbytes": 64, "delay_s": 0.3} for _ in range(9)]
+        points[0] = {"nbytes": 64, "poison": True}
+        spec = self._spec("poison", SleepyMicrobench(), points)
+        wq = WorkQueue(get_runner("poison"), None, "poison", spec.payload,
+                       jobs=MAX_POINT_ATTEMPTS)
+        done = []
+        with pytest.raises(RuntimeError,
+                           match=rf"^point 0 killed {MAX_POINT_ATTEMPTS} "
+                                 r"workers; giving up \(poison point\)$"):
+            wq.execute(range(len(points)), points,
+                       on_done=lambda index, record, source:
+                       done.append(index),
+                       should_stop=lambda: False)
+        assert 0 not in done and len(done) == len(set(done))
+        assert wq.stats["reissued"] == MAX_POINT_ATTEMPTS - 1
+
+    def test_slots_fill_round_robin(self, tmp_path):
+        """A job of ``jobs`` points puts one point on each worker, not
+        both on the first worker's two slots."""
+        import _remote_workload  # noqa: F401  (registers "pid")
+        points = [{"nbytes": 64, "pid_dir": str(tmp_path)},
+                  {"nbytes": 128, "pid_dir": str(tmp_path)}]
+        job = Job(self._spec("pid", MicrobenchExperiment(), points))
+        records = job.run(jobs=2)
+        baseline = Job.from_sweep(Sweep(
+            MicrobenchExperiment(),
+            points=[{"nbytes": 64}, {"nbytes": 128}])).run(jobs=1)
+        assert _jsons(records) == _jsons(baseline)
+        pids = {(tmp_path / f"point-{i}").read_text() for i in range(2)}
+        assert len(pids) == 2 and str(os.getpid()) not in pids
+        assert job.queue_stats == {"local": 2, "remote": 0, "reissued": 0}
+
+
 # --------------------------------------------------------------- priorities
 class TestPriorities:
     def test_gate_semantics(self):
