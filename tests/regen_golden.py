@@ -10,6 +10,10 @@ Figure 8's latency decomposition (GPU-TN ~2.71 us vs GDS ~3.76 us vs HDN
 ~4.21 us target completion), a Figure 9 Jacobi point and Figure 10's
 8-node / 8 MiB Allreduce -- so any code change that shifts a simulated
 metric fails ``tests/test_golden_records.py`` with a field-level diff.
+
+``allreduce-grid.jsonl`` pins whole ring Allreduce RunRecords over a grid
+of node counts x payloads x strategies (:data:`RING_GRID`), one canonical
+record per line; ``tests/test_ring_alias.py`` replays it byte for byte.
 Only regenerate after verifying the new numbers are *intended* (e.g. a
 deliberate timing-model change), and say why in the commit message.
 
@@ -34,7 +38,19 @@ GOLDEN_POINTS = {
     "allreduce-gputn": ("allreduce", {"strategy": "gputn", "n_nodes": 8}),
     "allreduce-cpu": ("allreduce", {"strategy": "cpu", "n_nodes": 8}),
     "allreduce-hdn": ("allreduce", {"strategy": "hdn", "n_nodes": 8}),
+    "allreduce-gds": ("allreduce", {"strategy": "gds", "n_nodes": 8}),
 }
+
+#: Ring Allreduce grid: a ragged payload (100 000 B pads per node count
+#: and slices unevenly), payloads smaller than four slices per chunk, and
+#: every backend.
+RING_GRID = [
+    {"strategy": strategy, "n_nodes": n_nodes, "nbytes": nbytes}
+    for strategy in ("cpu", "hdn", "gds", "gputn")
+    for n_nodes in (2, 3, 4, 8, 16)
+    for nbytes in (64, 4096, 100_000, 1 << 20)
+]
+RING_GRID_FILE = GOLDEN_DIR / "allreduce-grid.jsonl"
 
 
 def _experiment(kind: str):
@@ -58,6 +74,11 @@ def regenerate(only=None) -> None:
         path = GOLDEN_DIR / f"{name}.json"
         path.write_text(record.to_json() + "\n", encoding="utf-8")
         print(f"wrote {path.relative_to(GOLDEN_DIR.parent.parent)}")
+    if not only or RING_GRID_FILE.stem in only:
+        experiment = _experiment("allreduce")
+        lines = [experiment.run(params=point).to_json() for point in RING_GRID]
+        RING_GRID_FILE.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        print(f"wrote {RING_GRID_FILE.relative_to(GOLDEN_DIR.parent.parent)}")
 
 
 if __name__ == "__main__":
