@@ -155,26 +155,11 @@ def figure10_report(node_counts: Sequence[int] = (2, 5, 8, 11, 14, 17, 20, 23, 2
                     jobs: int = 1,
                     cache: Optional[ResultCache] = None) -> Dict[str, List[float]]:
     """Figure 10: 8 MB Allreduce strong scaling, speedup vs CPU."""
-    from repro.collectives import AllreduceExperiment
+    from repro.apps.allreduce_bench import strong_scaling_study
 
-    config = config or default_config()
-    strategies = ("hdn", "gds", "gputn")
-    sweep = Sweep(AllreduceExperiment(),
-                  grid={"strategy": ["cpu", *strategies],
-                        "n_nodes": list(node_counts)},
-                  base={"nbytes": nbytes})
-    records = sweep.run(config=config, jobs=jobs, cache=cache)
-    total_ns: Dict[Tuple[str, int], int] = {}
-    for r in records:
-        s, p = r.params["strategy"], r.params["n_nodes"]
-        if s != "cpu" and not r.metrics["correct"]:
-            raise AssertionError(f"wrong allreduce data: {s} at P={p}")
-        total_ns[(s, p)] = r.metrics["total_ns"]
-    data: Dict[str, List[float]] = {s: [] for s in strategies}
-    for p in node_counts:
-        cpu = total_ns[("cpu", p)]
-        for s in strategies:
-            data[s].append(cpu / total_ns[(s, p)])
+    study = strong_scaling_study(config, node_counts=node_counts,
+                                 nbytes=nbytes, jobs=jobs, cache=cache)
+    data = {s: study.speedup_vs_cpu(s) for s in ("hdn", "gds", "gputn")}
     rows = [[s] + [f"{v:.3f}" for v in vals] + [sparkline(vals)]
             for s, vals in data.items()]
     print(render_table(

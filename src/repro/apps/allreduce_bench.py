@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.collectives import AllreduceExperiment, AllreduceResult, run_ring_allreduce
+from repro.collectives import (AllreduceExperiment, CollectiveResult,
+                               run_ring_allreduce)
 from repro.config import MB, SystemConfig, default_config
 from repro.runtime import ResultCache, Sweep
 from repro.strategies import EVALUATED_STRATEGIES
@@ -24,7 +25,7 @@ PAYLOAD_8MB = 8 * MB
 
 
 def run_allreduce(config: Optional[SystemConfig] = None, strategy: str = "gputn",
-                  n_nodes: int = 8, nbytes: int = PAYLOAD_8MB) -> AllreduceResult:
+                  n_nodes: int = 8, nbytes: int = PAYLOAD_8MB) -> CollectiveResult:
     """One Allreduce under one strategy (verifies the data)."""
     return run_ring_allreduce(config, strategy=strategy, n_nodes=n_nodes,
                               nbytes=nbytes)

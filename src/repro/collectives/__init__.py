@@ -4,18 +4,22 @@ Modeled on libNBC, the library the paper extends: a collective is compiled
 into a per-rank *schedule* -- rounds of send/recv/reduce subtasks with
 dependencies only between rounds -- and an executor steps through the
 schedule.  Schedule creation "maps perfectly to the triggered operation
-semantics in GPU-TN": the GPU-TN executor lowers every send to a
-pre-registered triggered put fired from inside a single persistent kernel.
+semantics in GPU-TN": the GPU-TN executor lowers every send to
+pre-registered triggered puts fired from inside a single persistent
+kernel.
 
 * :mod:`~repro.collectives.schedule` -- schedule IR + builders (ring
   Allreduce of Figure 2, plus reduce-scatter/allgather pieces);
-* :mod:`~repro.collectives.ring` -- per-strategy executors over a
-  :class:`~repro.cluster.Cluster`;
 * :mod:`~repro.collectives.algorithms` -- the schedule zoo
   (recursive-doubling / halving-doubling Allreduce, AllGather,
   ReduceScatter, all-to-all) in the same round IR;
-* :mod:`~repro.collectives.engine` -- a generic executor that runs *any*
-  canonical schedule on every strategy, plus the NumPy schedule oracle.
+* :mod:`~repro.collectives.engine` -- the one executor per backend that
+  runs every schedule, plus the NumPy schedule oracle.  The GPU-TN
+  kernel's slice count is held by the experiment object: 4 for Figure
+  10, 1 for the zoo (choosing it is still open);
+* :mod:`~repro.collectives.ring` -- Figure 10's
+  :class:`AllreduceExperiment`, an alias for the ring schedule on that
+  executor, and the hand-written ring oracle.
 """
 
 from repro.collectives.algorithms import (
@@ -35,7 +39,7 @@ from repro.collectives.engine import (
 from repro.collectives.offload import nic_barrier, nic_broadcast
 from repro.collectives.ring import (
     AllreduceExperiment,
-    AllreduceResult,
+    allreduce_reference,
     run_ring_allreduce,
 )
 from repro.collectives.schedule import (
@@ -46,12 +50,12 @@ from repro.collectives.schedule import (
 
 __all__ = [
     "AllreduceExperiment",
-    "AllreduceResult",
     "CollectiveExperiment",
     "CollectiveResult",
     "CollectiveSchedule",
     "SCHEDULE_BUILDERS",
     "ScheduleOp",
+    "allreduce_reference",
     "alltoall_schedule",
     "halving_doubling_allreduce_schedule",
     "nic_barrier",

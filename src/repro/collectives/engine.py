@@ -1,29 +1,31 @@
-"""Generic executors driving any schedule-zoo collective on any backend.
+"""The collective executor: any schedule on any backend.
 
-:mod:`repro.collectives.ring` hand-specializes the ring Allreduce (chunk
-slicing, parity staging).  This module is the general machine: it runs
-*any* :class:`CollectiveSchedule` whose rounds have the canonical one-SEND
-one-RECV(+REDUCE) shape -- everything in
-:data:`repro.collectives.algorithms.SCHEDULE_BUILDERS` -- over the same
-four backends with the same trigger-program structure:
+One executor per backend runs *any* :class:`CollectiveSchedule` whose
+rounds have the canonical one-SEND one-RECV(+REDUCE) shape -- everything
+in :data:`repro.collectives.algorithms.SCHEDULE_BUILDERS`, Figure 10's
+ring Allreduce included -- with the same trigger-program structure:
 
 * **cpu / hdn** -- two-sided sends; hdn pays one reduce kernel per round;
 * **gds**   -- pre-staged deferred puts doorbelled behind the reduce
   kernel that produces their payload (command-queue ordered);
 * **gputn** -- one persistent kernel: poll the round's arrival flag,
   reduce, ``store_trigger`` the next round's pre-armed put, with the host
-  re-arming trigger entries off the critical path.
+  re-arming trigger entries off the critical path.  Each round's block
+  is split into a number of slices held by the experiment object
+  (:attr:`CollectiveExperiment.slices`): per slice the kernel polls,
+  reduces and triggers, so reduction and wire time pipeline (paper
+  §5.4.1).  Figure 10's ring runs 4 slices, the zoo 1; choosing the
+  count is a model change still open.
 
-Safety differences from the ring specialization, both forced by schedules
-whose peers change per round:
+Two safety rules hold for schedules whose peers change per round:
 
-* staging is **per round**, not parity-buffered -- with round-varying
-  peers a remote round-``s`` put can causally precede the local rank
-  reaching round ``s - 2``, so two buffers are not enough;
+* staging is **per round** -- with round-varying peers a remote
+  round-``s`` put can causally precede the local rank reaching round
+  ``s - 2``, so two parity buffers are not enough;
 * arrivals are counted in **per-round flag words** (one uint32 per round,
-  polled ``at_least=1``), not one cumulative counter -- arrivals from
-  different peers may reorder, and a cumulative count could be satisfied
-  by the wrong round's data.
+  polled ``at_least=s + 1`` for slice ``s``), not one cumulative counter
+  -- arrivals from different peers may reorder, and a cumulative count
+  could be satisfied by the wrong round's data.
 
 The NumPy oracle (:func:`schedule_reference`) interprets the same
 schedules round-by-round globally with the executors' association order
@@ -88,7 +90,7 @@ class _ZooRank:
     """One rank's buffers for a generic schedule."""
 
     def __init__(self, node: Node, schedule: CollectiveSchedule, nbytes: int,
-                 seed: int):
+                 seed: int, n_slices: int):
         if nbytes % (schedule.n_chunks * _F4.itemsize):
             raise ValueError(f"payload {nbytes}B must divide into "
                              f"{schedule.n_chunks} float32 chunks")
@@ -103,6 +105,7 @@ class _ZooRank:
         self.dest = (self.vector if schedule.in_place else
                      node.host.alloc(nbytes, name=f"{node.name}.zout"))
         self.rounds = [_round_ops(ops) for ops in schedule.rounds]
+        self.n_slices = n_slices
         # Per-round staging for reduce arrivals, per-round arrival words.
         self.staging = [
             node.host.alloc(recv.nchunks * self.chunk_bytes,
@@ -132,13 +135,32 @@ class _ZooRank:
             return self.staging[rnd].addr()
         return self.dest.addr(recv.chunk * self.chunk_bytes)
 
-    def reduce_round(self, rnd: int, agent: Agent, time: int) -> None:
+    def slice_bounds(self, op: ScheduleOp) -> List[Tuple[int, int]]:
+        """Element ranges of ``op``'s block, one per work-group-granularity
+        slice; the remainder spreads over the leading slices, so ragged
+        blocks still pipeline."""
+        n_elems = self.op_bytes(op) // _F4.itemsize
+        n_slices = max(1, min(self.n_slices, n_elems))
+        base, rem = divmod(n_elems, n_slices)
+        bounds, lo = [], 0
+        for s in range(n_slices):
+            hi = lo + base + (1 if s < rem else 0)
+            bounds.append((lo, hi))
+            lo = hi
+        return bounds
+
+    def reduce_round(self, rnd: int, agent: Agent, time: int,
+                     lo: int = 0, hi: Optional[int] = None) -> None:
+        """Combine elements ``[lo, hi)`` (default: all) of the round's
+        staged arrival into its RECV block."""
         _, recv, _ = self.rounds[rnd]
         self.node.mem.record_read(time, agent, self.staging[rnd])
-        self.block_view(self.vector, recv)[:] += self.staging[rnd].view(_F4)
-        lo = recv.chunk * self.chunk_bytes
+        block = self.block_view(self.vector, recv)
+        hi = block.size if hi is None else hi
+        block[lo:hi] += self.staging[rnd].view(_F4)[lo:hi]
+        base = recv.chunk * self.chunk_bytes
         self.node.mem.record_write(time, agent, self.vector,
-                                   lo=lo, hi=lo + self.op_bytes(recv))
+                                   lo=base + 4 * lo, hi=base + 4 * hi)
 
     def reduce_bytes(self, rnd: int) -> int:
         _, recv, _ = self.rounds[rnd]
@@ -162,6 +184,19 @@ def _check_pairing(states: List["_ZooRank"]) -> None:
             if peer_recv.nchunks != send.nchunks:
                 raise ValueError(f"round {rnd}: send/recv size mismatch "
                                  f"{send.nchunks} != {peer_recv.nchunks}")
+
+
+def _check_forwarding(states: List["_ZooRank"]) -> None:
+    """Sliced GPU-TN fires round ``k + 1``'s slice ``s`` as soon as round
+    ``k``'s slice ``s`` is in, which is only safe when every round sends
+    exactly the block the previous round received."""
+    for st in states:
+        for rnd in range(1, len(st.rounds)):
+            send, (_, recv, _) = st.rounds[rnd][0], st.rounds[rnd - 1]
+            if (send.chunk, send.nchunks) != (recv.chunk, recv.nchunks):
+                raise ValueError(
+                    f"schedule cannot be sliced: rank {st.rank} round {rnd} "
+                    f"does not send the block round {rnd - 1} received")
 
 
 # --------------------------------------------------------------------------
@@ -256,8 +291,10 @@ def _gds_zoo(state: _ZooRank, peers: Dict[int, Node]):
     prev_kernel = None
     queued_bell = None  # newest doorbell routed through the GPU queue
     for rnd, (send, recv, is_reduce) in enumerate(state.rounds):
-        # Same discipline as the ring gds executor: a direct doorbell must
-        # never overtake one still queued behind a kernel, or sends leave
+        # Ring this round's send behind the kernel that produced its
+        # block.  A direct doorbell must never overtake one still queued
+        # behind a kernel (bursty arrivals -- e.g. retransmit recovery --
+        # can let the host race ahead of a backed-up GPU), or sends leave
         # in the wrong round order.
         if prev_kernel is None and (queued_bell is None
                                     or queued_bell.rung.triggered):
@@ -282,45 +319,58 @@ def _gds_zoo(state: _ZooRank, peers: Dict[int, Node]):
 
 
 def _gputn_zoo(state: _ZooRank, peers: Dict[int, Node]):
-    """The whole collective in one persistent kernel (paper §5.4.1): poll
-    the round flag, reduce, fire the next round's pre-armed put."""
+    """The whole collective in one persistent kernel (paper §5.4.1): per
+    slice, poll the round flag, reduce, fire the next round's pre-armed
+    put of that slice ("easy software pipelining of the computation and
+    network transfer")."""
     node, host = state.node, state.node.host
     _expose_round_flags(state)
     n_rounds = len(state.rounds)
+    n_slices = state.n_slices
+
+    def trig_tag(rnd: int, s: int) -> int:
+        return _trig_tag(state.rank, rnd * n_slices + s)
 
     def kernel(ctx):
         rate = ctx.config.gpu.stream_bytes_per_ns
+        # Round 0's block is ready at kernel start: trigger every slice.
         yield ctx.fence_release_system(state.vector)
-        yield ctx.store_trigger(_trig_tag(state.rank, 0))
-        for rnd, (_, _, is_reduce) in enumerate(state.rounds):
-            yield from ctx.poll_flag(state.flags, offset=4 * rnd, at_least=1)
-            if is_reduce:
-                yield ctx.fence_acquire_system(state.staging[rnd])
-                state.reduce_round(rnd, Agent.GPU, ctx.sim.now)
-                yield ctx.compute(int(state.reduce_bytes(rnd) / rate) + 1)
-            else:
-                yield ctx.fence_acquire_system(state.dest)
-            if rnd + 1 < n_rounds:
-                yield ctx.fence_release_system(state.vector)
-                yield ctx.store_trigger(_trig_tag(state.rank, rnd + 1))
+        for s in range(len(state.slice_bounds(state.rounds[0][0]))):
+            yield ctx.store_trigger(trig_tag(0, s))
+        for rnd, (_, recv, is_reduce) in enumerate(state.rounds):
+            for s, (lo, hi) in enumerate(state.slice_bounds(recv)):
+                yield from ctx.poll_flag(state.flags, offset=4 * rnd,
+                                         at_least=s + 1)
+                if is_reduce:
+                    yield ctx.fence_acquire_system(state.staging[rnd])
+                    state.reduce_round(rnd, Agent.GPU, ctx.sim.now, lo, hi)
+                    # load block + load staging + store, 4 B per element
+                    yield ctx.compute(int(12 * (hi - lo) / rate) + 1)
+                else:
+                    yield ctx.fence_acquire_system(state.dest)
+                if rnd + 1 < n_rounds:
+                    yield ctx.fence_release_system(state.vector)
+                    yield ctx.store_trigger(trig_tag(rnd + 1, s))
 
     def rearm():
         live: List = []
         for rnd, (send, _, _) in enumerate(state.rounds):
             peer_state: _ZooRank = peers[send.peer].host._zoo_state  # type: ignore[attr-defined]
-            entry = yield from host.register_triggered_put(
-                tag=_trig_tag(state.rank, rnd), threshold=1,
-                buf=state.vector, nbytes=state.op_bytes(send),
-                target=peers[send.peer].name,
-                remote_addr=peer_state.landing_addr(rnd),
-                wire_tag=_wire_tag(state.rank, rnd),
-                offset=send.chunk * state.chunk_bytes)
-            live.append(entry)
-            # Respect the prototype's 16-entry trigger-list bound.
-            while len(live) > 12:
-                done = live.pop(0)
-                yield node.nic.handle_for(done).local
-                node.nic.trigger_list.free(done)
+            landing = peer_state.landing_addr(rnd)
+            for s, (lo, hi) in enumerate(state.slice_bounds(send)):
+                entry = yield from host.register_triggered_put(
+                    tag=trig_tag(rnd, s), threshold=1,
+                    buf=state.vector, nbytes=4 * (hi - lo),
+                    target=peers[send.peer].name,
+                    remote_addr=landing + 4 * lo,
+                    wire_tag=_wire_tag(state.rank, rnd),
+                    offset=send.chunk * state.chunk_bytes + 4 * lo)
+                live.append(entry)
+                # Respect the prototype's 16-entry trigger-list bound.
+                while len(live) > 12:
+                    done = live.pop(0)
+                    yield node.nic.handle_for(done).local
+                    node.nic.trigger_list.free(done)
         for entry in live:
             yield node.nic.handle_for(entry).local
             node.nic.trigger_list.free(entry)
@@ -395,14 +445,13 @@ def _semantic_reference(schedules: List[CollectiveSchedule],
     kind = schedules[0].collective
     ch = vectors[0].size // schedules[0].n_chunks
     if kind == "allreduce":
-        total = np.sum([v.astype(np.float64) for v in vectors], axis=0)
-        return [total] * n
+        return [sum(v.astype(np.float64) for v in vectors)] * n
     if kind == "allgather":
         out = np.concatenate([vectors[r][r * ch:(r + 1) * ch]
                               for r in range(n)]).astype(np.float64)
         return [out] * n
     if kind == "reduce_scatter":
-        total = np.sum([v.astype(np.float64) for v in vectors], axis=0)
+        total = sum(v.astype(np.float64) for v in vectors)
         outs = []
         for s in schedules:
             c = s.result_chunk
@@ -441,12 +490,23 @@ class CollectiveExperiment(Experiment):
     ``strategy`` (cpu/hdn/gds/gputn), ``topology`` (a
     ``NetworkConfig.topology`` spec string), ``n_nodes``, ``nbytes``
     (padded to whole float32 chunks) and the data ``seed``.
+
+    ``slices`` (GPU-TN slices per round block; the zoo runs 1, Figure
+    10's ring 4) is part of the model, not a run parameter: records do
+    not carry it, so objects with different counts must not share a
+    result cache.  More than one slice needs every round to send the
+    block the previous round received (the ring does).
     """
 
     name = "collective-zoo"
     defaults = {"schedule": "halving-doubling", "strategy": "gputn",
                 "topology": "star", "n_nodes": 4, "nbytes": 64 * 1024,
                 "seed": 11}
+
+    def __init__(self, slices: int = 1):
+        if slices < 1:
+            raise ValueError(f"slices must be >= 1, got {slices}")
+        self.slices = slices
 
     @staticmethod
     def padded_nbytes(n_chunks: int, nbytes: int) -> int:
@@ -479,9 +539,12 @@ class CollectiveExperiment(Experiment):
         builder = SCHEDULE_BUILDERS[params["schedule"]]
         schedules = [builder(r, n_nodes) for r in range(n_nodes)]
         nbytes = self.padded_nbytes(schedules[0].n_chunks, params["nbytes"])
-        states = [_ZooRank(cluster[r], schedules[r], nbytes, params["seed"])
+        states = [_ZooRank(cluster[r], schedules[r], nbytes, params["seed"],
+                           self.slices)
                   for r in range(n_nodes)]
         _check_pairing(states)
+        if self.slices > 1:
+            _check_forwarding(states)
         initial = [s.vector.view(_F4).copy() for s in states]
         peers = {r: cluster[r] for r in range(n_nodes)}
         for r in range(n_nodes):
@@ -502,16 +565,20 @@ class CollectiveExperiment(Experiment):
         semantic = _semantic_reference(schedules, ctx["initial"])
         ch = ctx["nbytes"] // schedules[0].n_chunks // 4
         correct = True
+        # Ranks sharing a semantic result (allreduce, allgather) skip its
+        # tolerance check when their oracle output equals a checked one.
+        checked: Dict[int, np.ndarray] = {}
         for st, sched, exp, sem in zip(states, schedules, expected, semantic):
             got = st.dest.view(_F4)
             if sched.result_chunk >= 0:
                 sl = slice(sched.result_chunk * ch,
                            (sched.result_chunk + 1) * ch)
-                correct &= bool((got[sl] == exp[sl]).all())
-                correct &= bool(np.allclose(got[sl], sem, rtol=1e-4))
-            else:
-                correct &= bool((got == exp).all())
-                correct &= bool(np.allclose(got, sem, rtol=1e-4))
+                got, exp = got[sl], exp[sl]
+            correct &= bool(np.array_equal(got, exp))
+            seen = checked.get(id(sem))
+            if seen is None or not np.array_equal(exp, seen):
+                correct &= bool(np.allclose(exp, sem, rtol=1e-4))
+                checked[id(sem)] = exp
         result = CollectiveResult(
             schedule=params["schedule"], strategy=params["strategy"],
             topology=params["topology"], n_nodes=params["n_nodes"],

@@ -272,12 +272,17 @@ class Job:
                          or self._remote is not None else None),
                 jobs=jobs, remote=self._remote, window=window,
                 priority=self.priority)
-            wq.execute(
-                pending, points,
-                on_done=emit,
-                should_stop=lambda: (self._cancelled or preempted.is_set()
-                                     or self._cancel_poll()))
-            self.queue_stats = dict(wq.stats)
+            try:
+                wq.execute(
+                    pending, points,
+                    on_done=emit,
+                    should_stop=lambda: (self._cancelled
+                                         or preempted.is_set()
+                                         or self._cancel_poll()))
+            finally:
+                # Before a failure status is written: meta.json must hold
+                # this run's tally, not the previous run's.
+                self.queue_stats = dict(wq.stats)
         except BaseException:
             self._set_status("failed", done, total)
             raise

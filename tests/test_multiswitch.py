@@ -96,33 +96,27 @@ class TestGraphTopologyCluster:
         assert t >= 3 * 100 + 2 * 100
 
     def test_allreduce_on_two_switch_fabric(self):
-        """The ring Allreduce is fabric-agnostic: correct across switches."""
-        from repro.collectives.ring import run_ring_allreduce
-
-        topo = two_switch_topology()
-        cfg = default_config()
-        # run_ring_allreduce builds its own cluster; emulate by running
-        # the executors over a custom cluster instead.
+        """The ring Allreduce is fabric-agnostic: sliced GPU-TN is bitwise
+        correct across switches."""
         from repro.cluster import Cluster as C
-        from repro.collectives.ring import (
-            _RingRank, _gputn_rank, allreduce_reference)
+        from repro.collectives import AllreduceExperiment, allreduce_reference
 
-        cluster = C(n_nodes=4, config=cfg, topology=topo, trace=False)
-        states = [_RingRank(cluster[r], r, 4, 64 * 1024, seed=2)
-                  for r in range(4)]
-        initial = [s.vector.view(np.float32).copy() for s in states]
-        peers = {r: cluster[r] for r in range(4)}
-        for r in range(4):
-            cluster[r].host._ring_state = states[r]
-        procs = [cluster.spawn(_gputn_rank(states[r], peers))
-                 for r in range(4)]
+        # execute() builds its own cluster; drive the experiment's hooks
+        # over the hand-built two-switch cluster instead.
+        cluster = C(n_nodes=4, config=default_config(),
+                    topology=two_switch_topology(), trace=False)
+        experiment = AllreduceExperiment()
+        params = {"strategy": "gputn", "n_nodes": 4, "nbytes": 64 * 1024,
+                  "seed": 2}
+        ctx = experiment.setup(cluster, params)
         cluster.run()
-        for p in procs:
+        for p in ctx["procs"]:
             assert p.ok
-        expected = allreduce_reference(initial, 4)
-        for s in states:
+        expected = allreduce_reference(ctx["initial"], 4)
+        for s in ctx["states"]:
             assert (s.vector.view(np.float32) == expected).all()
-        del run_ring_allreduce
+        metrics, _ = experiment.finish(cluster, ctx, params)
+        assert metrics["correct"]
 
 
 class TestMultiHopTransport:

@@ -330,6 +330,21 @@ class TestLocalSlots:
         assert 0 not in done and len(done) == len(set(done))
         assert wq.stats["reissued"] == MAX_POINT_ATTEMPTS - 1
 
+    def test_failed_job_meta_holds_this_runs_dispatch_tally(self, tmp_path):
+        """A job that dies on a poison point writes the tally of the run
+        that failed into meta.json, not the previous run's (``{}`` on a
+        first run)."""
+        import _remote_workload  # noqa: F401  (registers "poison")
+        points = [{"nbytes": 64, "delay_s": 0.3} for _ in range(4)]
+        points[0] = {"nbytes": 64, "poison": True}
+        store = JobStore(tmp_path)
+        job = Job(self._spec("poison", SleepyMicrobench(), points), store)
+        with pytest.raises(RuntimeError):
+            job.run(jobs=2)
+        meta = store.meta(job.id)
+        assert meta["status"] == "failed"
+        assert meta["dispatch"]["reissued"] >= 1
+
     def test_slots_fill_round_robin(self, tmp_path):
         """A job of ``jobs`` points puts one point on each worker, not
         both on the first worker's two slots."""
