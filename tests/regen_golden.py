@@ -14,6 +14,7 @@ metric fails ``tests/test_golden_records.py`` with a field-level diff.
 ``allreduce-grid.jsonl`` pins whole ring Allreduce RunRecords over a grid
 of node counts x payloads x strategies (:data:`RING_GRID`), one canonical
 record per line; ``tests/test_ring_alias.py`` replays it byte for byte.
+
 Only regenerate after verifying the new numbers are *intended* (e.g. a
 deliberate timing-model change), and say why in the commit message.
 
